@@ -118,12 +118,15 @@ def _v_vec_list(nonzero=True):
     return f
 
 
-def _v_num_list(lo=None, increasing=False, decreasing=False, min_len=1):
-    item = _v_num(lo=lo)
+def _v_num_list(lo=None, hi=None, increasing=False, decreasing=False,
+                min_len=1, max_len=None):
+    item = _v_num(lo=lo, hi=hi)
 
     def f(v):
         if not isinstance(v, list) or len(v) < min_len:
             raise ValueError(f"expected a list of >= {min_len} numbers")
+        if max_len is not None and len(v) > max_len:
+            raise ValueError(f"expected at most {max_len} numbers")
         xs = [item(x) for x in v]
         if increasing and any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("must be strictly increasing")
@@ -141,14 +144,55 @@ def _v_enum(*options):
     return f
 
 
+_EVAL_TIMES = _v_num_list(lo=0.0, hi=1.0)
+
+# payoff id -> {param: (validator, required)}; lengths against d are
+# checked in _cross_validate
+PAYOFF_PARAMS = {
+    "one": {"times": (_v_num_list(lo=0.0, hi=1.0, max_len=1), False)},
+    "gaussian_bump": {"times": (_EVAL_TIMES, True),
+                      "center": (_v_vec(), True),
+                      "width": (_v_num(lo=0.0, strict_lo=True), False)},
+    "indicator_box": {"times": (_EVAL_TIMES, True), "lo": (_v_vec(), True),
+                      "hi": (_v_vec(), True)},
+    "polynomial_clipped": {"times": (_EVAL_TIMES, True),
+                           "coeffs": (_v_vec(), True),
+                           "clip": (_v_num(lo=0.0), False)},
+}
+
+
+def _check_fields(doc, schema, reserved=()):
+    """(validated fields, 'name: message' errors) of a JSON object."""
+    errors = [f"{name}: unknown field"
+              for name in sorted(set(doc) - set(reserved) - set(schema))]
+    out = {}
+    for name, (validator, required) in schema.items():
+        if name not in doc:
+            if required:
+                errors.append(f"{name}: required field is missing")
+            continue
+        try:
+            out[name] = validator(doc[name])
+        except ValueError as exc:
+            errors.append(f"{name}: {exc}")
+    return out, errors
+
+
 def _v_payoff(v):
-    if not isinstance(v, dict) or "id" not in v:
-        raise ValueError("expected an object with an 'id' field")
+    if not isinstance(v, dict) or v.get("id") not in PAYOFF_PARAMS:
+        raise ValueError(
+            f"expected an object with an 'id' in {tuple(PAYOFF_PARAMS)}")
     extra = set(v) - {"id", "params"}
     if extra:
         raise ValueError(f"unknown payoff fields {sorted(extra)}")
-    make_payoff(v["id"], v.get("params"))  # validates id and params
-    return {"id": v["id"], "params": v.get("params", {})}
+    if not isinstance(v.get("params", {}), dict):
+        raise ValueError("params: expected an object")
+    params, errors = _check_fields(v.get("params", {}),
+                                   PAYOFF_PARAMS[v["id"]])
+    if errors:
+        raise ValueError("; ".join(f"params.{e}" for e in errors))
+    make_payoff(v["id"], params)  # semantic checks such as lo <= hi
+    return {"id": v["id"], "params": params}
 
 
 def _v_weight(v):
@@ -157,8 +201,12 @@ def _v_weight(v):
     extra = set(v) - {"family", "param"}
     if extra:
         raise ValueError(f"unknown weight fields {sorted(extra)}")
-    WeightFunction(v["family"], float(v.get("param", 0.0)))
-    return {"family": v["family"], "param": float(v.get("param", 0.0))}
+    try:
+        param = _v_num()(v.get("param", 0.0))
+    except ValueError as exc:
+        raise ValueError(f"param: {exc}")
+    WeightFunction(v["family"], param)
+    return {"family": v["family"], "param": param}
 
 
 def _v_increments(v):
@@ -189,12 +237,12 @@ def _v_boxes(v):
             raise ValueError(f"entry {i}: unknown fields {sorted(extra)}")
         box = {"time": _v_num(lo=0.0, hi=1.0)(item["time"])}
         for side in ("lo", "hi"):
-            if item.get(side) is not None:
-                box[side] = [None if x is None else _v_num()(x)
-                             for x in item[side]] \
-                    if isinstance(item[side], list) \
-                    else (_ for _ in ()).throw(
-                        ValueError(f"entry {i}: {side} must be a list"))
+            if item.get(side) is None:
+                continue
+            if not isinstance(item[side], list):
+                raise ValueError(f"entry {i}: {side} must be a list")
+            box[side] = [None if x is None else _v_num()(x)
+                         for x in item[side]]
         out.append(box)
     return out
 
@@ -207,8 +255,9 @@ def _v_set(v):
         allowed = {"type"}
     elif kind == "halfspace":
         allowed = {"type", "a", "coord"}
-        _v_num()(v.get("a", None) if "a" in v else
-                 (_ for _ in ()).throw(ValueError("halfspace needs 'a'")))
+        if "a" not in v:
+            raise ValueError("halfspace needs 'a'")
+        _v_num()(v["a"])
     elif kind == "box_at_one":
         allowed = {"type", "lo", "hi"}
         if "lo" not in v or "hi" not in v:
@@ -229,8 +278,6 @@ def _v_set(v):
 
 
 # schema: field -> (validator, required)
-_D = ("d", _v_int(lo=1), True)
-
 SCHEMAS = {
     "mass": {
         "d": (_v_int(lo=1), True),
@@ -249,7 +296,7 @@ SCHEMAS = {
         "u_list": (_v_vec_list(), True),
         "payoff": (_v_payoff, True),
         "method": (_v_enum("bridge", "epsilon", "both"), False),
-        "n_outer": (_v_int(lo=1), False),
+        "n_outer": (_v_int(lo=2), False),
         "n_inner": (_v_int(lo=1), False),
         "eps_ladder": (_v_num_list(lo=0.0, decreasing=True, min_len=2),
                        False),
@@ -313,26 +360,12 @@ def parse_config(text):
         raise ConfigError([f"(document): invalid JSON: {exc}"])
     if not isinstance(doc, dict):
         raise ConfigError(["(document): top level must be an object"])
-    errors = []
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError(
             [f"command: expected one of {COMMANDS}, got {command!r}"])
-    schema = SCHEMAS[command]
-    reserved = {"command", "seed", "output", "format"}
-    unknown = set(doc) - reserved - set(schema)
-    for name in sorted(unknown):
-        errors.append(f"{name}: unknown field for command {command!r}")
-    params = {}
-    for name, (validator, required) in schema.items():
-        if name not in doc:
-            if required:
-                errors.append(f"{name}: required field is missing")
-            continue
-        try:
-            params[name] = validator(doc[name])
-        except ValueError as exc:
-            errors.append(f"{name}: {exc}")
+    params, errors = _check_fields(doc, SCHEMAS[command],
+                                   ("command", "seed", "output", "format"))
 
     seed = doc.get("seed")
     if seed is not None and (isinstance(seed, bool)
@@ -367,15 +400,22 @@ def _cross_validate(command, p):
     errs = []
     dim = p.get("d")
 
-    def check_dim(vec, name):
-        if dim is not None and len(vec) != dim:
-            errs.append(f"{name}: length {len(vec)} does not match d={dim}")
+    def check_dim(vec, name, n_eval=1):
+        if dim is not None and len(vec) != n_eval * dim:
+            errs.append(f"{name}: length {len(vec)} does not match d={dim}"
+                        + (f" x {n_eval} eval times" if n_eval > 1 else ""))
 
     if command in ("mass", "eta", "chaos-norm"):
         check_dim(p["u"], "u")
     if command in ("ldp-slope", "pairing"):
         for i, u in enumerate(p["u_list"]):
             check_dim(u, f"u_list[{i}]")
+    if command == "pairing":
+        payoff = p["payoff"]["params"]
+        for name in ("center", "lo", "hi"):
+            if name in payoff:  # the bump center stacks all eval times
+                check_dim(payoff[name], f"payoff.params.{name}",
+                          len(payoff["times"]) if name == "center" else 1)
     if command == "chaos-norm" and not p["s"] < p["t"]:
         errs.append("t: need s < t")
     if command == "eta" and p["variant"] == "correlated":

@@ -23,7 +23,8 @@ from scipy.special import ndtr
 
 from .errors import ContractError, DomainError
 from .kernels import log_heat_kernel_sq
-from .sampler import make_rng
+from .sampler import (bridge_adjust, interval_overlap, make_rng, path_at,
+                      row_increments, tilt, union_times)
 
 _CHUNK = 64  # outer nodes per vectorized block, keeps arrays < ~100 MB
 
@@ -36,7 +37,8 @@ class EstimateWithError:
     method: str
 
     def __post_init__(self):
-        if self.stderr < 0.0 or not np.isfinite(self.value):
+        if not (np.isfinite(self.value) and np.isfinite(self.stderr)) \
+                or self.stderr < 0.0:
             raise ContractError("estimate must be finite with stderr >= 0")
 
     def agrees_with(self, other, n_sigma=3.0):
@@ -109,20 +111,17 @@ def constant_one(time=1.0):
 
 
 PAYOFF_CATALOGUE = {
-    "one": lambda p: constant_one(*p.get("times", (1.0,))),
-    "gaussian_bump": lambda p: gaussian_bump(
-        p["times"], p["center"], p.get("width", 1.0)),
-    "indicator_box": lambda p: coordinate_indicator_box(
-        p["times"], p["lo"], p["hi"]),
-    "polynomial_clipped": lambda p: polynomial_clipped(
-        p["times"], p["coeffs"], p.get("clip", 10.0)),
+    "one": lambda times=(1.0,): constant_one(*times),
+    "gaussian_bump": gaussian_bump,
+    "indicator_box": coordinate_indicator_box,
+    "polynomial_clipped": polynomial_clipped,
 }
 
 
 def make_payoff(payoff_id, params=None):
     if payoff_id not in PAYOFF_CATALOGUE:
         raise ContractError(f"unknown payoff id {payoff_id!r}")
-    return PAYOFF_CATALOGUE[payoff_id](params or {})
+    return PAYOFF_CATALOGUE[payoff_id](**(params or {}))
 
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(96)
@@ -176,44 +175,6 @@ class WeightFunction:
         return np.sum(self(x) * _GH_WEIGHTS, axis=-1)
 
 
-def _union_times(t_tuples, eval_times):
-    """Sorted union of {0}, eval times and the random tuples, row-wise.
-
-    Returns (times, pos_eval, pos_t): positions of the eval columns and the
-    tuple columns inside each sorted row.
-    """
-    n, k = t_tuples.shape
-    ev = np.asarray(eval_times, dtype=float)
-    base = np.concatenate([
-        np.zeros((n, 1)),
-        np.broadcast_to(ev, (n, ev.size)),
-        t_tuples,
-    ], axis=1)
-    order = np.argsort(base, axis=1, kind="stable")
-    times = np.take_along_axis(base, order, axis=1)
-    inv = np.argsort(order, axis=1, kind="stable")
-    pos_eval = inv[:, 1:1 + ev.size]
-    pos_t = inv[:, 1 + ev.size:]
-    return times, pos_eval, pos_t
-
-
-def _bridge_adjust(times, incs, pos_t, u_list):
-    """Force the consecutive increments over the tuple times to equal u_j."""
-    dt = np.diff(times, axis=1)
-    cells = np.arange(dt.shape[1])[None, :]
-    for j, u in enumerate(u_list):
-        ilo = pos_t[:, j][:, None]
-        ihi = pos_t[:, j + 1][:, None]
-        mask = ((cells >= ilo) & (cells < ihi)).astype(float)
-        gap = np.take_along_axis(times, pos_t[:, j + 1:j + 2], axis=1) \
-            - np.take_along_axis(times, pos_t[:, j:j + 1], axis=1)
-        S = np.einsum("nicd,nc->nid", incs, mask)
-        corr = (u[None, None, :] - S) / gap[:, None, :]
-        incs += mask[:, None, :, None] * dt[:, None, :, None] \
-            * corr[:, :, None, :]
-    return incs
-
-
 def _check_u_list(u_list, d):
     us = tuple(np.atleast_1d(np.asarray(u, dtype=float)) for u in u_list)
     for u in us:
@@ -232,28 +193,31 @@ def _warn_small_d(d):
             stacklevel=3)
 
 
-def _conditional_means(F, t_tuples, u_list, d, n_inner, rng):
-    """Bridge-MC means E[F | increments = u_j] for each time tuple.
+def _chunked_means(block, *rows):
+    """Concatenated block(*row_slices) over blocks of _CHUNK rows."""
+    return np.concatenate([block(*(a[lo:lo + _CHUNK] for a in rows))
+                           for lo in range(0, rows[0].shape[0], _CHUNK)])
 
+
+def _conditional_means(F, t_tuples, u_list, d, n_inner, rng, weight=None):
+    """Inner means E[F | w(t_{j+1}) - w(t_j) = u_j] for each time tuple.
+
+    Paths are bridge-conditioned on the targets (free when ``u_list`` is
+    empty); a ``weight`` g multiplies F by g(w_1(t_2) - w_1(t_1)).
     Vectorized over outer tuples in chunks; returns an array of inner-mean
     payoff values, one per tuple.
     """
-    n = t_tuples.shape[0]
-    out = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        t = t_tuples[lo:lo + _CHUNK]
-        times, pos_eval, pos_t = _union_times(t, F.eval_times)
-        dt = np.clip(np.diff(times, axis=1), 0.0, None)
-        nb, m1 = dt.shape
-        incs = rng.standard_normal((nb, n_inner, m1, d)) \
-            * np.sqrt(dt)[:, None, :, None]
-        _bridge_adjust(times, incs, pos_t, u_list)
-        paths = np.zeros((nb, n_inner, m1 + 1, d))
-        np.cumsum(incs, axis=2, out=paths[:, :, 1:, :])
-        ev = np.take_along_axis(
-            paths, pos_eval[:, None, :, None], axis=2)
-        out[lo:lo + _CHUNK] = F(ev).mean(axis=1)
-    return out
+    def block(t):
+        times, pos_eval, pos_t = union_times(t, F.eval_times)
+        incs = row_increments(np.diff(times, axis=1), d, n_inner, rng)
+        bridge_adjust(times, incs, pos_t[:, :-1], pos_t[:, 1:], u_list)
+        ev, at_t = path_at(incs, pos_eval, pos_t)
+        vals = F(ev)
+        if weight is not None:
+            vals = vals * weight(at_t[:, :, 1, 0] - at_t[:, :, 0, 0])
+        return vals.mean(axis=1)
+
+    return _chunked_means(block, t_tuples)
 
 
 def _log_kernel_product(t_tuples, u_list, d, eps_shift=0.0):
@@ -299,36 +263,20 @@ def _epsilon_single(F, us, d, eps, n, rng):
     vals = np.empty(n)
     for lo in range(0, n, _CHUNK * 64):
         t = np.sort(rng.random((min(_CHUNK * 64, n - lo), k)), axis=1)
-        times, pos_eval, pos_t = _union_times(t, F.eval_times)
-        dt = np.clip(np.diff(times, axis=1), 0.0, None)
-        nb = dt.shape[0]
-        incs = rng.standard_normal(dt.shape + (d,)) \
-            * np.sqrt(dt)[:, :, None]
-        # piecewise-linear shift with increment u_j across window j
-        cells = np.arange(dt.shape[1])[None, :]
-        dphi = np.zeros_like(incs)
-        for j, u in enumerate(us):
-            ilo = pos_t[:, j][:, None]
-            ihi = pos_t[:, j + 1][:, None]
-            mask = ((cells >= ilo) & (cells < ihi)).astype(float)
-            gap = np.take_along_axis(times, pos_t[:, j + 1:j + 2], axis=1) \
-                - np.take_along_axis(times, pos_t[:, j:j + 1], axis=1)
-            dphi += (mask * dt / gap)[:, :, None] * u[None, None, :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(dt[:, :, None] > 0.0,
-                             dphi / dt[:, :, None], 0.0)
-        logw = -np.einsum("ncd,ncd->n", ratio, incs) \
-            - 0.5 * np.einsum("ncd,ncd->n", ratio, dphi)
-        incs += dphi
-        paths = np.zeros((nb, dt.shape[1] + 1, d))
-        np.cumsum(incs, axis=1, out=paths[:, 1:, :])
-        at_t = np.take_along_axis(paths, pos_t[:, :, None], axis=1)
-        dw = np.diff(at_t, axis=1)
+        times, pos_eval, pos_t = union_times(t, F.eval_times)
+        dt = np.diff(times, axis=1)
+        incs = row_increments(dt, d, 1, rng)
+        # piecewise-linear shift with increment u_j across window j: the
+        # bridge adjustment of the zero path
+        dphi = bridge_adjust(times, np.zeros_like(incs), pos_t[:, :-1],
+                             pos_t[:, 1:], us)[:, 0]
+        logw = tilt(dt, incs, dphi)[:, 0]
+        ev, at_t = path_at(incs, pos_eval, pos_t)
+        dw = np.diff(at_t[:, 0], axis=1)
         for j, u in enumerate(us):
             diff = dw[:, j, :] - u
             logw += log_heat_kernel_sq(np.sum(diff * diff, axis=-1), eps, d)
-        ev = np.take_along_axis(paths, pos_eval[:, :, None], axis=1)
-        vals[lo:lo + nb] = F(ev) * np.exp(logw)
+        vals[lo:lo + t.shape[0]] = F(ev[:, 0]) * np.exp(logw)
     fact = math.factorial(k)
     return (float(vals.mean() / fact),
             float(vals.std(ddof=1) / math.sqrt(n) / fact))
@@ -338,13 +286,23 @@ def richardson_extrapolate(eps_values, estimates, stderrs):
     """Weighted linear fit v(eps) = v0 + c eps, returning (v0, stderr(v0)).
 
     The Gaussian smoothing shifts variance additively, so the leading bias
-    of smooth payoffs is linear in eps.
+    of smooth payoffs is linear in eps.  Raises DomainError when the
+    stderrs cannot weight the fit (a zero stderr, or a singular or
+    indefinite normal matrix), as happens with a few samples per rung.
     """
     eps_values = np.asarray(eps_values, dtype=float)
+    stderrs = np.asarray(stderrs, dtype=float)
     A = np.column_stack([np.ones_like(eps_values), eps_values])
-    w = 1.0 / np.asarray(stderrs, dtype=float) ** 2
-    ata = A.T @ (w[:, None] * A)
-    cov = np.linalg.inv(ata)
+    cov = np.full((2, 2), np.nan)
+    if np.all(stderrs > 0.0):
+        w = 1.0 / stderrs ** 2
+        try:
+            cov = np.linalg.inv(A.T @ (w[:, None] * A))
+        except np.linalg.LinAlgError:
+            pass
+    if not cov[0, 0] >= 0.0:
+        raise DomainError(f"degenerate Richardson fit for rung stderrs "
+                          f"{stderrs.tolist()}; raise n_per_eps")
     coef = cov @ (A.T @ (w * np.asarray(estimates, dtype=float)))
     return float(coef[0]), float(math.sqrt(cov[0, 0]))
 
@@ -388,26 +346,6 @@ def cylinder_mass(eval_times, box_lo, box_hi, u_list, d, n_outer, n_inner,
     return pairing_bridge(F, u_list, d, n_outer, n_inner, seed)
 
 
-def _bm_functional_means(F, t_tuples, weight, n_inner, rng):
-    """Inner means E[F(beta) g(beta(t2) - beta(t1))] over free 1-d paths."""
-    n = t_tuples.shape[0]
-    out = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        t = t_tuples[lo:lo + _CHUNK]
-        times, pos_eval, pos_t = _union_times(t, F.eval_times)
-        dt = np.clip(np.diff(times, axis=1), 0.0, None)
-        nb, m1 = dt.shape
-        incs = rng.standard_normal((nb, n_inner, m1)) \
-            * np.sqrt(dt)[:, None, :]
-        paths = np.zeros((nb, n_inner, m1 + 1))
-        np.cumsum(incs, axis=2, out=paths[:, :, 1:])
-        at_t = np.take_along_axis(paths, pos_t[:, None, :], axis=2)
-        dbeta = at_t[:, :, 1] - at_t[:, :, 0]
-        ev = np.take_along_axis(paths, pos_eval[:, None, :], axis=2)
-        out[lo:lo + nb] = (F(ev[..., None]) * weight(dbeta)).mean(axis=1)
-    return out
-
-
 def eta_pairing_independent(F1, F2, f: WeightFunction, u, d, n_outer,
                             n_inner, seed):
     """Pairing of the weighted measure with F1(w) F2(beta), beta independent.
@@ -427,7 +365,7 @@ def eta_pairing_independent(F1, F2, f: WeightFunction, u, d, n_outer,
     if F2 is None:
         h2 = f.gaussian_moment(tau)
     else:
-        h2 = _bm_functional_means(F2, t, f, n_inner, rng)
+        h2 = _conditional_means(F2, t, (), 1, n_inner, rng, weight=f)
     y = h1 * h2 * np.exp(_log_kernel_product(t, us, d))
     return EstimateWithError(
         float(y.mean() / 2.0),
@@ -435,11 +373,15 @@ def eta_pairing_independent(F1, F2, f: WeightFunction, u, d, n_outer,
         n_outer * n_inner, "eta_independent")
 
 
-def _overlap_arrays(s_pair, t):
-    s1, s2 = s_pair
-    lo = np.maximum(s1, t[:, 0])
-    hi = np.minimum(s2, t[:, 1])
-    return np.clip(hi - lo, 0.0, None)
+def _window_regression(s1, s2, t):
+    """(alpha, var_x): w(s2) - w(s1) = alpha u + X given w(t2) - w(t1) = u.
+
+    Rows of ``t`` are windows (t1, t2); alpha = overlap/(t2 - t1) and X is
+    an independent centered Gaussian of per-coordinate variance var_x.
+    """
+    tau = t[:, 1] - t[:, 0]
+    overlap = interval_overlap((s1, s2), t.T)
+    return overlap / tau, np.clip((s2 - s1) - overlap ** 2 / tau, 0.0, None)
 
 
 def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
@@ -468,15 +410,14 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
         t = np.tile(np.asarray(t_pair, dtype=float), (n_outer, 1))
         vol = 1.0
     tau = t[:, 1] - t[:, 0]
-    overlap = _overlap_arrays((s1, s2), t)
-    alpha = overlap / tau
-    var_x = np.clip((s2 - s1) - overlap ** 2 / tau, 0.0, None)
+    alpha, var_x = _window_regression(s1, s2, t)
     if F1 is None:
         h1 = np.ones(n_outer)
     else:
-        x = rng.standard_normal((n_outer, n_inner, d)) \
-            * np.sqrt(var_x)[:, None, None]
-        h1 = F1(alpha[:, None, None] * u + x).mean(axis=1)
+        def block(a, v):  # X is the increment over one cell of length var_x
+            x = row_increments(v[:, None], d, n_inner, rng)[:, :, 0]
+            return F1(a[:, None, None] * u + x).mean(axis=1)
+        h1 = _chunked_means(block, alpha, var_x)
     shift = r * u[0]
     z_scale = 1.0 - r * r
     if F2 is None:
@@ -484,7 +425,7 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
     else:
         def weight(dz):
             return f(shift + math.sqrt(z_scale) * dz)
-        h2 = _bm_functional_means(F2, t, weight, n_inner, rng)
+        h2 = _conditional_means(F2, t, (), 1, n_inner, rng, weight=weight)
     y = h1 * h2 * np.exp(_log_kernel_product(t, us, d))
     return EstimateWithError(
         float(y.mean() * vol),
@@ -513,32 +454,23 @@ def eta_pairing_correlated_direct(F1, F2, f: WeightFunction, u, d, r,
         else:
             t = np.tile(np.asarray(t_pair, dtype=float), (nb, 1))
         # d-dimensional path at {s1, s2} union {t1, t2}
-        times_w, pos_s, pos_t = _union_times(t, (s1, s2))
-        dtw = np.clip(np.diff(times_w, axis=1), 0.0, None)
-        incw = rng.standard_normal(dtw.shape + (d,)) \
-            * np.sqrt(dtw)[:, :, None]
-        pw = np.zeros((nb, dtw.shape[1] + 1, d))
-        np.cumsum(incw, axis=1, out=pw[:, 1:, :])
-        at_s = np.take_along_axis(pw, pos_s[:, :, None], axis=1)
-        at_t = np.take_along_axis(pw, pos_t[:, :, None], axis=1)
-        dws = at_s[:, 1] - at_s[:, 0]
-        dwt = at_t[:, 1] - at_t[:, 0]
+        times_w, pos_s, pos_t = union_times(t, (s1, s2))
+        at_s, at_t = path_at(
+            row_increments(np.diff(times_w, axis=1), d, 1, rng), pos_s, pos_t)
+        dws = at_s[:, 0, 1] - at_s[:, 0, 0]
+        dwt = at_t[:, 0, 1] - at_t[:, 0, 0]
         # independent 1-d path z at {t1, t2} union F2 times
-        times_z, pos_e, pos_tz = _union_times(t, f2_times or (1.0,))
-        dtz = np.clip(np.diff(times_z, axis=1), 0.0, None)
-        incz = rng.standard_normal(dtz.shape) * np.sqrt(dtz)
-        pz = np.zeros((nb, dtz.shape[1] + 1))
-        np.cumsum(incz, axis=1, out=pz[:, 1:])
-        at_tz = np.take_along_axis(pz, pos_tz, axis=1)
-        dz = at_tz[:, 1] - at_tz[:, 0]
+        times_z, pos_e, pos_tz = union_times(t, f2_times or (1.0,))
+        ev, at_tz = path_at(
+            row_increments(np.diff(times_z, axis=1), 1, 1, rng), pos_e, pos_tz)
+        dz = at_tz[:, 0, 1, 0] - at_tz[:, 0, 0, 0]
         diff = dwt - u
         logw = log_heat_kernel_sq(np.sum(diff * diff, axis=-1), eps, d)
         v = np.exp(logw) * f(r * dwt[:, 0] + math.sqrt(1 - r * r) * dz)
         if F1 is not None:
             v = v * F1(dws)
         if F2 is not None:
-            ev = np.take_along_axis(pz, pos_e, axis=1)
-            v = v * F2(ev[..., None])
+            v = v * F2(ev[:, 0])
         vals[lo:lo + nb] = v
     return EstimateWithError(
         float(vals.mean() * vol),

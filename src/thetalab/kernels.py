@@ -90,15 +90,6 @@ def hermite_normalized_seq(nmax, x):
     return r
 
 
-def log_hermite_sq_over_fact(n, x):
-    """log( H_n(x)^2 / n! ), with exact zeros of H_n reported as -inf."""
-    r = hermite_normalized_seq(n, x)[n]
-    if r == 0.0:
-        return -np.inf
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.log(np.abs(r))
-
-
 def log_hermite_sq_over_fact_seq(nmax, x):
     """Vector of log(H_n(x)^2/n!) for n = 0..nmax (-inf at exact zeros)."""
     r = hermite_normalized_seq(nmax, x)

@@ -1,11 +1,17 @@
-"""Brownian paths on time grids, exact increment conditioning and tilting.
+"""Brownian paths on per-row time grids: the one path kernel of thetalab.
 
-Sampling is driven by counter-based Philox streams keyed by (seed, stream
-index), so parallel workers can draw non-overlapping deterministic
-substreams under any schedule.  Conditioning on prescribed increments is
-done segment-wise with the Brownian bridge construction, which is exact and
-O(n); overlapping-interval conditioning goes through the Schur-complement
-conditioner instead.
+A batch is a stack of rows, each with its own sorted grid ``times[row]``
+from 0 (equal neighbours make zero-length cells), and increments of shape
+(rows, n, n_cells, d).  :func:`union_times` builds the grids,
+:func:`row_increments` draws raw increments, :func:`bridge_adjust`
+conditions per-row windows on prescribed increments exactly (Brownian
+bridge), :func:`tilt` applies a Cameron-Martin shift with its log weight
+and :func:`path_at` gathers cumulative sums at grid columns.  The
+fixed-grid API (:class:`TimeGrid`, :func:`sample_conditioned_bm`,
+:func:`cameron_martin_weight`, ...) is the one-row case.  Streams are
+counter-based Philox keyed by (seed, stream index), so parallel workers
+draw non-overlapping deterministic substreams; overlapping windows are
+conditioned in closed form by :class:`GaussianConditioner`.
 """
 
 from dataclasses import dataclass
@@ -14,8 +20,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ContractError, DomainError
-
-_RESIDUAL_TOL = 1e-12
 
 
 def make_rng(seed, stream=0):
@@ -114,17 +118,94 @@ class IncrementConstraintSet:
         return out
 
 
+def union_times(t_tuples, eval_times):
+    """Sorted union of {0}, eval times and the random tuples, row-wise.
+
+    Returns (times, pos_eval, pos_t): positions of the eval columns and the
+    tuple columns inside each sorted row.
+    """
+    n = t_tuples.shape[0]
+    ev = np.asarray(eval_times, dtype=float)
+    base = np.concatenate([
+        np.zeros((n, 1)),
+        np.broadcast_to(ev, (n, ev.size)),
+        t_tuples,
+    ], axis=1)
+    order = np.argsort(base, axis=1, kind="stable")
+    times = np.take_along_axis(base, order, axis=1)
+    inv = np.argsort(order, axis=1, kind="stable")
+    pos_eval = inv[:, 1:1 + ev.size]
+    pos_t = inv[:, 1 + ev.size:]
+    return times, pos_eval, pos_t
+
+
+def row_increments(dt, d, n, rng):
+    """Raw increments, shape (rows, n, n_cells, d), variance dt[row, cell]."""
+    return rng.standard_normal((dt.shape[0], n, dt.shape[1], d)) \
+        * np.sqrt(dt)[:, None, :, None]
+
+
+def bridge_adjust(times, incs, lo, hi, targets):
+    """Condition increments in place on w(times[hi_j]) - w(times[lo_j]) = u_j.
+
+    ``lo`` and ``hi`` are (rows, J) grid columns of pairwise non-overlapping
+    windows.  Inside window j of length L every cell gets the correction
+    (dt/L) * (u_j - S) where S is the raw window sum; this realizes the
+    conditional (bridge) law and leaves the cells outside the windows
+    untouched.
+    """
+    dt = np.diff(times, axis=1)
+    cells = np.arange(dt.shape[1])
+    for j, u in enumerate(targets):
+        a, b = lo[:, j:j + 1], hi[:, j:j + 1]
+        mask = ((cells >= a) & (cells < b)).astype(float)
+        gap = np.take_along_axis(times, b, axis=1) \
+            - np.take_along_axis(times, a, axis=1)
+        S = np.einsum("rncd,rc->rnd", incs, mask)
+        corr = (u - S) / gap[:, None, :]
+        incs += mask[:, None, :, None] * dt[:, None, :, None] \
+            * corr[:, :, None, :]
+    return incs
+
+
+def tilt(dt, incs, dphi):
+    """Shift increments in place by dphi (rows, n_cells, d); log weights.
+
+    The returned log-weight W, shape (rows, n), makes E[F(w + phi) e^W]
+    unbiased for E[F(w)] under the Wiener law:
+
+        W = -sum <dphi, dw>/dt - 0.5 sum ||dphi||^2/dt,
+
+    where a zero-length cell contributes 0.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(dt[:, :, None] > 0.0, dphi / dt[:, :, None], 0.0)
+    logw = -np.einsum("rcd,rncd->rn", ratio, incs) \
+        - 0.5 * np.einsum("rcd,rcd->r", ratio, dphi)[:, None]
+    incs += dphi[:, None]
+    return logw
+
+
+def _paths_from_increments(incs):
+    vals = np.zeros(incs.shape[:-2] + (incs.shape[-2] + 1, incs.shape[-1]))
+    np.cumsum(incs, axis=-2, out=vals[..., 1:, :])
+    return vals
+
+
+def path_at(incs, *cols):
+    """Path values (w(0) = 0 plus cumulative increments) at grid columns.
+
+    Each ``cols`` array has shape (rows, c); one (rows, n, c, d) array is
+    returned per argument.
+    """
+    paths = _paths_from_increments(incs)
+    return tuple(np.take_along_axis(paths, c[:, None, :, None], axis=2)
+                 for c in cols)
+
+
 def sample_bm_increments(grid: TimeGrid, d, n, rng):
     """Raw increments, shape (n, n_cells, d), variance dt per cell."""
-    dt = grid.dt
-    return rng.standard_normal((n, dt.size, d)) * np.sqrt(dt)[None, :, None]
-
-
-def _paths_from_increments(grid, incs):
-    n, _, d = incs.shape
-    vals = np.zeros((n, grid.times.size, d))
-    np.cumsum(incs, axis=1, out=vals[:, 1:, :])
-    return vals
+    return row_increments(grid.dt[None], d, n, rng)[0]
 
 
 def sample_bm(grid: TimeGrid, d, seed, n=1, stream=0):
@@ -133,31 +214,10 @@ def sample_bm(grid: TimeGrid, d, seed, n=1, stream=0):
     Returns a PathGrid for n == 1, else an array (n, n_times, d).
     """
     rng = make_rng(seed, stream)
-    vals = _paths_from_increments(grid, sample_bm_increments(grid, d, n, rng))
+    vals = _paths_from_increments(sample_bm_increments(grid, d, n, rng))
     if n == 1:
         return PathGrid(grid, vals[0])
     return vals
-
-
-def apply_increment_constraints(grid: TimeGrid, incs,
-                                constraints: IncrementConstraintSet):
-    """Bridge-adjust raw increments in place so each constraint holds exactly.
-
-    Inside a constrained interval of length L the cell increments get the
-    correction (dt/L) * (u - S) where S is the raw interval sum; this
-    realizes the conditional (bridge) law and leaves disjoint intervals and
-    the outside untouched.
-    """
-    times = grid.times
-    dt = grid.dt
-    for lo, hi, u in constraints.items:
-        ilo, ihi = grid.index_of(lo), grid.index_of(hi)
-        L = hi - lo
-        seg = incs[..., ilo:ihi, :]
-        S = seg.sum(axis=-2)
-        seg += (dt[ilo:ihi] / L)[..., :, None] \
-            * (u - S)[..., None, :]
-    return incs
 
 
 def sample_conditioned_bm(grid: TimeGrid,
@@ -175,15 +235,22 @@ def sample_conditioned_bm(grid: TimeGrid,
             raise DomainError("constraint target dimension mismatch")
     rng = make_rng(seed, stream)
     incs = sample_bm_increments(grid, d, n, rng)
-    apply_increment_constraints(grid, incs, constraints)
-    vals = _paths_from_increments(grid, incs)
+    cols = np.array([[grid.index_of(t) for t in constraints.endpoints()]])
+    bridge_adjust(grid.times[None], incs[None], cols[:, 0::2], cols[:, 1::2],
+                  [u for _, _, u in constraints.items])
+    vals = _paths_from_increments(incs)
     if n == 1:
         return PathGrid(grid, vals[0])
     return grid, vals
 
 
 def interval_overlap(a, b):
-    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+    """Length of the intersection of intervals a = (lo, hi) and b.
+
+    Endpoints may be arrays; the result broadcasts elementwise.
+    """
+    return np.clip(np.minimum(a[1], b[1]) - np.maximum(a[0], b[0]),
+                   0.0, None)
 
 
 class GaussianConditioner:
@@ -195,16 +262,12 @@ class GaussianConditioner:
     """
 
     def __init__(self, intervals, targets):
-        self.intervals = [(float(a), float(b)) for a, b in intervals]
+        self.intervals = np.asarray(intervals, dtype=float).reshape(-1, 2)
         self.targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if len(self.intervals) != self.targets.shape[0]:
             raise ContractError("one target per constraint interval required")
-        m = len(self.intervals)
-        cov = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                cov[i, j] = interval_overlap(self.intervals[i],
-                                             self.intervals[j])
+        lo, hi = self.intervals.T
+        cov = interval_overlap((lo[:, None], hi[:, None]), (lo, hi))
         eig = np.linalg.eigvalsh(cov)
         if eig.min() <= 1e-12 * max(eig.max(), 1.0):
             raise DomainError(
@@ -215,24 +278,14 @@ class GaussianConditioner:
 
     def condition_increment(self, lo, hi):
         """Conditional (mean vector, per-coordinate variance) of w(hi)-w(lo)."""
-        cross = np.array([interval_overlap((lo, hi), iv)
-                          for iv in self.intervals])
-        alpha = cho_solve(self._factor, cross)
-        mean = alpha @ self.targets
-        var = (hi - lo) - float(cross @ alpha)
-        return mean, max(var, 0.0)
+        alpha = self.alpha_coefficients(lo, hi)
+        var = (hi - lo) - float(alpha @ self.cov @ alpha)
+        return alpha @ self.targets, max(var, 0.0)
 
     def alpha_coefficients(self, lo, hi):
         """Regression weights of the query increment on the constraints."""
-        cross = np.array([interval_overlap((lo, hi), iv)
-                          for iv in self.intervals])
-        return cho_solve(self._factor, cross)
-
-
-def gaussian_condition(intervals, targets, query_lo, query_hi):
-    """One-shot wrapper around :class:`GaussianConditioner`."""
-    cond = GaussianConditioner(intervals, targets)
-    return cond.condition_increment(query_lo, query_hi)
+        return cho_solve(self._factor,
+                         interval_overlap((lo, hi), self.intervals.T))
 
 
 def shift_on_grid(grid: TimeGrid, knots, knot_values):
@@ -249,27 +302,13 @@ def cameron_martin_weight(grid: TimeGrid, increments, shift_values):
     """Shifted increments plus log importance weights.
 
     ``increments`` has shape (n, n_cells, d), ``shift_values`` is the shift
-    evaluated at grid times, shape (n_times, d).  The returned log-weight W
-    makes E[F(w + phi) e^W] unbiased for E[F(w)] under the Wiener law: with
-    dphi the shift's cell increments,
-
-        W = -sum <dphi, dw>/dt - 0.5 sum ||dphi||^2/dt.
+    evaluated at grid times, shape (n_times, d); ``increments`` is left
+    unchanged.  The log-weight is the one of :func:`tilt`.
     """
-    dt = grid.dt
+    shifted = np.array(increments, dtype=float)[None]
     dphi = np.diff(np.asarray(shift_values, dtype=float), axis=0)
-    cross = np.einsum("ncd,cd->n", increments, dphi / dt[:, None])
-    energy = 0.5 * float(np.sum(dphi * dphi / dt[:, None]))
-    logw = -cross - energy
-    shifted = increments + dphi[None, :, :]
-    return shifted, logw
-
-
-def cameron_martin_shift_path(path: PathGrid, knots, knot_values):
-    """Path-level wrapper: shift one PathGrid, return (shifted path, log w)."""
-    phi = shift_on_grid(path.grid, knots, knot_values)
-    incs = np.diff(path.values, axis=0)[None, :, :]
-    _, logw = cameron_martin_weight(path.grid, incs, phi)
-    return PathGrid(path.grid, path.values + phi), float(logw[0])
+    logw = tilt(grid.dt[None], shifted, dphi[None])
+    return shifted[0], logw[0]
 
 
 def sample_correlated_pair(grid: TimeGrid, d, r, seed, n=1, stream=0):
@@ -281,10 +320,7 @@ def sample_correlated_pair(grid: TimeGrid, d, r, seed, n=1, stream=0):
     if not 0.0 < r < 1.0:
         raise DomainError("correlation r must lie in (0, 1)")
     rng = make_rng(seed, stream)
-    w_inc = sample_bm_increments(grid, d, n, rng)
-    z_inc = sample_bm_increments(grid, 1, n, rng)[:, :, 0]
-    w = _paths_from_increments(grid, w_inc)
-    z = np.zeros((n, grid.times.size))
-    np.cumsum(z_inc, axis=1, out=z[:, 1:])
+    w = _paths_from_increments(sample_bm_increments(grid, d, n, rng))
+    z = _paths_from_increments(sample_bm_increments(grid, 1, n, rng))[..., 0]
     beta = r * w[:, :, 0] + np.sqrt(1.0 - r * r) * z
     return w, beta, z

@@ -10,7 +10,7 @@ integrand magnitudes fall to e^{-200} and below.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad

@@ -9,7 +9,7 @@ constraints minimizers are linear, so the piecewise-linear ansatz is exact.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar

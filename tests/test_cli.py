@@ -173,6 +173,33 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+PAIRING = {"command": "pairing", "d": 4, "u_list": [[1.0, 0.0, 0.0, 0.0]],
+           "method": "bridge", "n_outer": 8, "n_inner": 1, "seed": 3}
+ETA = {"command": "eta", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],
+       "variant": "independent", "n_outer": 8, "seed": 3}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (dict(PAIRING, payoff={"id": "gaussian_bump",
+                           "params": {"times": [1.0]}}),
+     "payoff: params.center"),
+    (dict(PAIRING, payoff={"id": "gaussian_bump", "params": [1.0]}),
+     "payoff: params"),
+    (dict(ETA, f={"family": "abs_power", "param": [1.0]}), "f: param"),
+    (dict(PAIRING, payoff={"id": "gaussian_bump",
+                           "params": {"times": [1.0], "center": [0.0] * 3}}),
+     "payoff.params.center"),
+    (dict(PAIRING, payoff={"id": "one"}, n_outer=1), "n_outer"),
+], ids=["bump-without-center", "params-not-object", "weight-param-list",
+        "center-length", "pairing-n-outer-1"])
+def test_main_rejects_malformed_inputs(tmp_path, capsys, doc, field):
+    path = write(tmp_path, "bad.json", doc)
+    assert main([doc["command"], "--config", path]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert f"config error: {field}" in captured.err
+    assert captured.out == ""
+
+
 def test_main_overrides(tmp_path):
     doc = write(tmp_path, "m.json",
                 {"command": "mass", "d": 4, "u": [1, 0, 0, 0]})

@@ -6,6 +6,7 @@ from scipy.integrate import dblquad
 
 from thetalab.errors import ContractError, DomainError
 from thetalab.estimators import (EstimateWithError, WeightFunction,
+                                 _window_regression,
                                  coordinate_indicator_box, constant_one,
                                  cylinder_mass, eta_mass_scan,
                                  eta_pairing_correlated,
@@ -15,7 +16,8 @@ from thetalab.estimators import (EstimateWithError, WeightFunction,
                                  pairing_epsilon, polynomial_clipped,
                                  richardson_extrapolate, support_check)
 from thetalab.kernels import heat_kernel
-from thetalab.sampler import TimeGrid, sample_conditioned_bm
+from thetalab.sampler import (GaussianConditioner, TimeGrid,
+                              sample_conditioned_bm)
 from thetalab.simplexquad import (SimplexIntegrand, eta_mass_integral,
                                   gap_reduced_integral, mass_m)
 
@@ -27,6 +29,8 @@ def test_estimate_contract():
         EstimateWithError(math.nan, 0.1, 10, "x")
     with pytest.raises(ContractError):
         EstimateWithError(1.0, -0.1, 10, "x")
+    with pytest.raises(ContractError):
+        EstimateWithError(1.0, math.nan, 10, "x")
     a = EstimateWithError(1.0, 0.1, 10, "x")
     b = EstimateWithError(1.25, 0.1, 10, "y")
     assert a.agrees_with(b) and not a.agrees_with(b, n_sigma=1.0)
@@ -242,6 +246,24 @@ def test_eta_correlated_disjoint_window_alpha_zero():
     # alpha = 0, X ~ N(0, 0.05 I): E F1(X) = (1.05)^{-2}
     want = float(heat_kernel(U4, 0.4, 4)) * 1.05 ** -2
     assert abs(est.value - want) <= 3.0 * est.stderr
+
+
+def test_window_regression_matches_gaussian_conditioner():
+    # the closed-form regression of w(s2) - w(s1) on w(t2) - w(t1) = u used
+    # by eta_pairing_correlated, against the Schur-complement oracle, over
+    # random windows (disjoint, nested and partly overlapping)
+    rng = np.random.default_rng(40)
+    s = np.sort(rng.random((200, 2)), axis=1)
+    t = np.sort(rng.random((200, 2)), axis=1)
+    u = np.array([0.7, -1.2, 0.4, 2.0])
+    for (s1, s2), t_row in zip(s, t):
+        alpha, var_x = _window_regression(s1, s2, t_row[None])
+        cond = GaussianConditioner([t_row], [u])
+        mean, var = cond.condition_increment(s1, s2)
+        assert alpha[0] == pytest.approx(
+            cond.alpha_coefficients(s1, s2)[0], abs=1e-12)
+        assert np.allclose(alpha[0] * u, mean, rtol=0.0, atol=1e-12)
+        assert var_x[0] == pytest.approx(var, abs=1e-12)
 
 
 def test_eta_correlated_vs_direct_small():

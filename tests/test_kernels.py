@@ -7,8 +7,7 @@ from scipy.integrate import quad
 from thetalab.errors import CapacityError, ContractError, DomainError
 from thetalab.kernels import (N_MAX, heat_kernel, hermite_eval,
                               hermite_normalized_seq, log_heat_kernel,
-                              log_heat_kernel_sq, log_hermite_sq_over_fact,
-                              log_hermite_sq_over_fact_seq)
+                              log_heat_kernel_sq, log_hermite_sq_over_fact_seq)
 
 
 def test_log_kernel_frozen_oracles():
@@ -98,8 +97,7 @@ def test_normalized_seq_bounded_at_large_degree():
 
 
 def test_log_hermite_sq_zero_reported():
-    # H_1(0) = 0 exactly
-    assert log_hermite_sq_over_fact(1, 0.0) == -np.inf
+    # H_1(0) = H_3(0) = 0 exactly
     seq = log_hermite_sq_over_fact_seq(5, 0.0)
     assert seq[1] == -np.inf and seq[3] == -np.inf
     assert np.isfinite(seq[0]) and np.isfinite(seq[2])

@@ -5,8 +5,7 @@ import pytest
 
 from thetalab.errors import ContractError, DomainError
 from thetalab.sampler import (GaussianConditioner, IncrementConstraintSet,
-                              PathGrid, TimeGrid, cameron_martin_shift_path,
-                              cameron_martin_weight, gaussian_condition,
+                              PathGrid, TimeGrid, cameron_martin_weight,
                               interval_overlap, make_rng, sample_bm,
                               sample_bm_increments, sample_conditioned_bm,
                               sample_correlated_pair, shift_on_grid)
@@ -116,7 +115,8 @@ def test_conditioner_matches_bridge_empirically():
     cons = IncrementConstraintSet(((0.2, 0.6, u),))
     g, vals = sample_conditioned_bm(grid, cons, 1, seed=8, n=60000)
     inc = vals[:, g.index_of(0.8), 0] - vals[:, g.index_of(0.4), 0]
-    mean, var = gaussian_condition([(0.2, 0.6)], [u], 0.4, 0.8)
+    mean, var = GaussianConditioner([(0.2, 0.6)], [u]).condition_increment(
+        0.4, 0.8)
     assert inc.mean() == pytest.approx(mean[0], abs=0.02)
     assert inc.var() == pytest.approx(var, rel=0.05)
 
@@ -142,12 +142,13 @@ def test_cameron_martin_unbiased():
 def test_cameron_martin_shift_path():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
     path = PathGrid(grid, np.array([[0.0], [0.3], [0.1]]))
-    shifted, logw = cameron_martin_shift_path(path, [0.0, 1.0],
-                                              [[0.0], [2.0]])
-    assert shifted.values[-1, 0] == pytest.approx(2.1)
+    phi = shift_on_grid(grid, [0.0, 1.0], [[0.0], [2.0]])
+    shifted, logw = cameron_martin_weight(
+        grid, np.diff(path.values, axis=0)[None], phi)
+    assert shifted[0].sum(axis=0)[0] == pytest.approx(2.1)
     # W = -<dphi, dw>/dt - 0.5 ||phi'||^2 dt with phi' = 2
     want = -(2.0 * 0.3 / 0.5 + 2.0 * (-0.2) / 0.5) * 0.5 - 0.5 * 4.0
-    assert logw == pytest.approx(want, abs=1e-12)
+    assert logw[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_sample_bm_shapes():
