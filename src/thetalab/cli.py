@@ -189,6 +189,10 @@ def _v_payoff(v):
         raise ValueError("params: expected an object")
     params, errors = _check_fields(v.get("params", {}),
                                    PAYOFF_PARAMS[v["id"]])
+    if not errors and v["id"] == "indicator_box" \
+            and len(params["hi"]) != len(params["lo"]):
+        errors.append(f"hi: length {len(params['hi'])} does not match "
+                      f"lo (length {len(params['lo'])})")
     if errors:
         raise ValueError("; ".join(f"params.{e}" for e in errors))
     make_payoff(v["id"], params)  # semantic checks such as lo <= hi
@@ -308,7 +312,8 @@ SCHEMAS = {
         "f": (_v_weight, True),
         "variant": (_v_enum("independent", "correlated"), True),
         "r": (_v_num(lo=0.0, hi=1.0, strict_lo=True), False),
-        "s_pair": (_v_num_list(lo=0.0, increasing=True, min_len=2), False),
+        "s_pair": (_v_num_list(lo=0.0, increasing=True, min_len=2,
+                               max_len=2), False),
         "n_outer": (_v_int(lo=2), False),
         "n_inner": (_v_int(lo=1), False),
     },

@@ -13,6 +13,7 @@ Agreement of the two routes is the operational content of the measure
 representation and is what the acceptance suite checks.
 """
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -110,8 +111,14 @@ def constant_one(time=1.0):
     return CylinderFunctional((time,), payoff, "one")
 
 
+def _one(times=(1.0,)):
+    if len(times) != 1:
+        raise ContractError("payoff 'one' takes exactly one eval time")
+    return constant_one(times[0])
+
+
 PAYOFF_CATALOGUE = {
-    "one": lambda times=(1.0,): constant_one(*times),
+    "one": _one,
     "gaussian_bump": gaussian_bump,
     "indicator_box": coordinate_indicator_box,
     "polynomial_clipped": polynomial_clipped,
@@ -121,7 +128,13 @@ PAYOFF_CATALOGUE = {
 def make_payoff(payoff_id, params=None):
     if payoff_id not in PAYOFF_CATALOGUE:
         raise ContractError(f"unknown payoff id {payoff_id!r}")
-    return PAYOFF_CATALOGUE[payoff_id](**(params or {}))
+    factory = PAYOFF_CATALOGUE[payoff_id]
+    params = params or {}
+    try:  # names the missing or unknown param
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise ContractError(f"payoff {payoff_id!r}: {exc}") from None
+    return factory(**params)
 
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(96)

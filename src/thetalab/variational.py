@@ -1,11 +1,19 @@
 """Schilder energy functional and constrained energy minimization.
 
 The rate functional I(phi) = (1/2) integral ||phi'||^2 is evaluated exactly
-on piecewise-linear paths.  Minimization over paths possessing prescribed
-consecutive increments (optionally intersected with box constraints at
-fixed times) splits into an inner convex quadratic program in the knot
-values and an outer search over the free increment times; between active
-constraints minimizers are linear, so the piecewise-linear ansatz is exact.
+on piecewise-linear paths.  ``minimize_energy`` takes one of two routes:
+
+* Increments only.  Between the chain times the minimizer is straight, so
+  at fixed times the energy is exactly (1/2) sum ||u_j||^2 / g_j over the
+  gaps g_j = t_{j+1} - t_j.  Each maximal run of free times between two
+  fixed ones (0 and 1 count as fixed) is a small convex program in its
+  gaps, solved once by SLSQP with the analytic gradient.
+* With box constraints.  An inner convex quadratic program in the knot
+  values (SLSQP over the path Laplacian) and an outer coordinate-descent
+  search over the free chain times, with random restarts.
+
+Between active constraints minimizers are linear, so the piecewise-linear
+ansatz is exact on both routes.
 """
 
 import math
@@ -20,6 +28,7 @@ from .sampler import (TimeGrid, cameron_martin_weight, make_rng,
                       sample_bm_increments, shift_on_grid)
 
 _FEAS_TOL = 1e-8
+_MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,8 @@ class ConstraintProgram:
                       None if hi is None else float(hi),
                       np.atleast_1d(np.asarray(u, dtype=float)))
                      for lo, hi, u in self.increments)
+        if len({u.size for _, _, u in incs}) > 1:
+            raise ContractError("increment targets must share one dimension")
         object.__setattr__(self, "increments", incs)
         object.__setattr__(self, "boxes", tuple(self.boxes))
 
@@ -87,17 +98,6 @@ def path_energy(path: PiecewiseLinearPath):
     return 0.5 * float(np.sum(dv * dv / dt[:, None]))
 
 
-def path_energy_gradient(path: PiecewiseLinearPath):
-    """Analytic gradient of the energy w.r.t. every knot value (row 0 fixed)."""
-    dt = np.diff(path.knots)
-    dv = np.diff(path.values, axis=0)
-    slope = dv / dt[:, None]
-    grad = np.zeros_like(path.values)
-    grad[1:] += slope
-    grad[:-1] -= slope
-    return grad
-
-
 def closed_form_inf(u_list):
     """Unconstrained infimum of the energy over the increment set.
 
@@ -110,24 +110,98 @@ def closed_form_inf(u_list):
     return 0.5 * total ** 2
 
 
-def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
-    """Inner minimization over knot values at fixed chain times.
-
-    Equality constraints (the increments) with no boxes reduce to an exact
-    KKT solve; boxes go through SLSQP.  Returns (value, knots, values) or
-    raises InfeasibleError.
-    """
-    knot_set = {0.0, 1.0}
-    knot_set.update(float(t) for t in chain_times)
-    knot_set.update(float(b.time) for b in boxes)
-    knot_set.update(float(t) for t in extra_knots)
-    # merge knots closer than 1e-9: a collapsing cell makes the quadratic
-    # form singular and the KKT solve unreliable
+def _merge_knots(times):
+    """Sorted distinct knots, each closer than _MERGE_TOL to the previous
+    one dropped: a collapsing cell makes the quadratic form singular."""
     merged = []
-    for t in sorted(knot_set):
-        if not merged or t - merged[-1] > 1e-9:
+    for t in sorted(float(t) for t in times):
+        if not merged or t - merged[-1] > _MERGE_TOL:
             merged.append(t)
-    knots = np.array(merged)
+    return np.array(merged)
+
+
+def _run_gaps(a, length):
+    """Gaps g >= 0 summing to ``length`` that minimise (1/2) sum a_j / g_j.
+
+    A zero weight gets a zero gap, unless every weight is zero (the value is
+    then 0 for any split and the gaps are equal).  Positive weights share
+    the length by one SLSQP solve from equal gaps on the unit simplex.
+    Returns (gaps, iterations, converged).
+    """
+    g = np.zeros(a.size)
+    pos = a > 0.0
+    n = int(pos.sum())
+    if n == 0:
+        g[:] = length / a.size
+        return g, 0, True
+    if n == 1:
+        g[pos] = length
+        return g, 0, True
+    w = a[pos] / a[pos].max()
+
+    def objective(x):
+        return 0.5 * float(np.sum(w / x)), -0.5 * w / x ** 2
+
+    res = minimize(objective, np.full(n, 1.0 / n), jac=True, method="SLSQP",
+                   bounds=[(1e-12, 1.0)] * n,
+                   constraints=[{"type": "eq",
+                                 "fun": lambda x: x.sum() - 1.0,
+                                 "jac": lambda x: np.ones((1, n))}],
+                   options={"maxiter": 400, "ftol": 1e-16})
+    g[pos] = length * res.x / res.x.sum()
+    return g, int(res.nit), bool(res.success)
+
+
+def _minimize_increments(slots, u_list, extra_knots):
+    """Minimal energy of an increments-only program, solved in its gaps.
+
+    The chain is 0, t_1, ..., t_k, 1 with weight ||u_j||^2 on the gap
+    (t_j, t_{j+1}) and weight 0 on the two outer gaps, where the minimizer
+    is flat.  Each run of free times between fixed ones is solved alone.
+    """
+    times = [0.0, *slots, 1.0]
+    weights = np.array([0.0, *(float(u @ u) for u in u_list), 0.0])
+    chain = np.array([np.nan if t is None else t for t in times])
+    anchors = [i for i, t in enumerate(times) if t is not None]
+    iterations, converged = 0, True
+    for lo, hi in zip(anchors, anchors[1:]):
+        length = chain[hi] - chain[lo]
+        if length < 0.0:
+            raise InfeasibleError("fixed chain times decrease",
+                                  certificate=(chain[lo], chain[hi]))
+        if hi - lo > 1:
+            g, nit, ok = _run_gaps(weights[lo:hi], length)
+            chain[lo + 1:hi] = chain[lo] + np.cumsum(g)[:-1]
+            iterations += nit
+            converged = converged and ok
+    gaps = np.diff(chain)
+    pos = weights > 0.0
+    short = pos & (gaps <= _MERGE_TOL)
+    if short.any():
+        j = int(short.argmax())
+        raise InfeasibleError(
+            "increment constrained over a zero-length interval",
+            certificate=(j - 1, u_list[j - 1]))
+    value = 0.5 * float(np.sum(weights[pos] / gaps[pos]))
+    # knot values: 0 up to t_1, then the partial sums of the targets
+    d = u_list[0].size
+    chain_values = np.cumsum(
+        np.vstack([np.zeros((2, d)), *u_list, np.zeros((1, d))]), axis=0)
+    knots = _merge_knots([*chain, *extra_knots])
+    values = np.column_stack([np.interp(knots, chain, col)
+                              for col in chain_values.T])
+    return (PiecewiseLinearPath(knots, values), value,
+            {"outer_iterations": iterations, "converged": converged})
+
+
+def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
+    """Inner minimization over knot values at fixed chain times, with boxes.
+
+    A convex QP in the knot values, solved by SLSQP.  Returns
+    (value, knots, values) or raises InfeasibleError.
+    """
+    knots = _merge_knots([0.0, 1.0, *chain_times,
+                          *(b.time for b in boxes), *extra_knots])
     n_free = knots.size - 1  # phi(0) = 0 pinned
 
     def idx_of(t):
@@ -161,17 +235,6 @@ def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
             A[j, i_lo - 1] -= 1.0
         A[j, i_hi - 1] += 1.0
         U[j] = u
-
-    if not boxes:
-        # KKT system per coordinate: [Q A^T; A 0] [x; lam] = [0; u]
-        kkt = np.block([[Q, A.T],
-                        [A, np.zeros((n_eq, n_eq))]])
-        rhs = np.vstack([np.zeros((n_free, d)), U])
-        sol = np.linalg.solve(kkt, rhs)
-        x = sol[:n_free]
-        vals = np.vstack([np.zeros(d), x])
-        value = 0.5 * float(np.einsum("id,ij,jd->", x, Q, x))
-        return value, knots, vals
 
     lo = np.full((n_free, d), -np.inf)
     hi = np.full((n_free, d), np.inf)
@@ -244,16 +307,28 @@ def minimize_energy(prog: ConstraintProgram, n_extra_knots=0, tol=1e-8,
                     n_restarts=5, seed=0, max_sweeps=200):
     """Minimal energy over paths meeting the program's constraints.
 
-    Inner problem: convex QP in the knot values (exact KKT without boxes).
-    Outer problem: coordinate descent with golden-section line search over
-    the free chain times, multi-started from random feasible seeds, then a
-    simplex polish.  Returns (PiecewiseLinearPath, value, diagnostics).
+    Programs without boxes are solved in their gap variables: a free t_1
+    goes to 0, a free t_k to 1, and each run of free chain times between
+    fixed ones is one SLSQP solve with the analytic gradient; the value is
+    (1/2) sum ||u_j||^2 / g_j at the solved times.  Programs with boxes
+    solve a convex QP in the knot values at fixed chain times and search
+    the free times by coordinate descent with a bounded line search, a
+    simplex polish and ``n_restarts`` random starts drawn from ``seed``;
+    ``tol``, ``n_restarts``, ``seed`` and ``max_sweeps`` act only there.
+    ``n_extra_knots`` evenly spaced knots are added to the returned path.
+    Returns (PiecewiseLinearPath, value, diagnostics) where diagnostics
+    holds ``outer_iterations`` (SLSQP iterations, or coordinate-descent
+    sweeps with boxes) and ``converged``.
     """
     slots = _chain_time_slots(prog)
-    free = [i for i, s in enumerate(slots) if s is None]
     u_list = prog.u_list
     extra = tuple(np.linspace(0.0, 1.0, n_extra_knots + 2)[1:-1]) \
         if n_extra_knots else ()
+    if not prog.boxes:
+        if not u_list:
+            raise ContractError("cannot infer dimension from an empty program")
+        return _minimize_increments(slots, u_list, extra)
+    free = [i for i, s in enumerate(slots) if s is None]
     rng = make_rng(seed, 7)
 
     def inner(times_vec):

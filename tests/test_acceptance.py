@@ -103,7 +103,7 @@ def test_criterion_05_variational_consistency():
         want = var.closed_form_inf(us)
         worst = max(worst, abs(val - want) / max(1.0, want))
     elapsed = time.time() - t0
-    ok = worst <= 1e-6 and elapsed < 60.0
+    ok = worst <= 1e-9 and elapsed < 60.0
     assert report(5, ok, f"variational consistency over 50 sets, worst "
                          f"rel err {worst:.2e} ({elapsed:.1f}s)")
 

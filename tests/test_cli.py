@@ -190,8 +190,15 @@ ETA = {"command": "eta", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],
                            "params": {"times": [1.0], "center": [0.0] * 3}}),
      "payoff.params.center"),
     (dict(PAIRING, payoff={"id": "one"}, n_outer=1), "n_outer"),
+    (dict(ETA, variant="correlated", r=0.5, s_pair=[0.1, 0.2, 0.9]),
+     "s_pair"),
+    (dict(PAIRING, payoff={"id": "indicator_box",
+                           "params": {"times": [0.5], "lo": [-1.0] * 3,
+                                      "hi": [1.0] * 4}}),
+     "payoff: params.hi"),
 ], ids=["bump-without-center", "params-not-object", "weight-param-list",
-        "center-length", "pairing-n-outer-1"])
+        "center-length", "pairing-n-outer-1", "s-pair-three-entries",
+        "box-lo-hi-length"])
 def test_main_rejects_malformed_inputs(tmp_path, capsys, doc, field):
     path = write(tmp_path, "bad.json", doc)
     assert main([doc["command"], "--config", path]) == EXIT_DOMAIN

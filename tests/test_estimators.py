@@ -50,6 +50,12 @@ def test_payoff_catalogue():
         assert out.shape == (3,)
     with pytest.raises(ContractError):
         make_payoff("nope")
+    with pytest.raises(ContractError, match="'gaussian_bump'.*'center'"):
+        make_payoff("gaussian_bump", {"times": [1.0]})
+    with pytest.raises(ContractError, match="'one'.*'width'"):
+        make_payoff("one", {"width": 2.0})
+    with pytest.raises(ContractError, match="'one'"):
+        make_payoff("one", {"times": [0.5, 0.7]})
     with pytest.raises(ContractError):
         coordinate_indicator_box([0.5], [1.0], [0.0])
     with pytest.raises(ContractError):

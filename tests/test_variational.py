@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from thetalab.variational import (BoxConstraint, ConstraintProgram,
                                   PiecewiseLinearPath, box_at_one_set,
                                   closed_form_inf, halfspace_set,
                                   ldp_slope_fit, minimize_energy,
-                                  path_energy, path_energy_gradient,
+                                  path_energy,
                                   schilder_empirical_slope)
 
 
@@ -34,22 +35,6 @@ def test_energy_two_segment_oracle():
                                np.array([[0.0], [1.0], [1.0]]))
     # 0.5 * (1/0.25) = 2
     assert path_energy(path) == pytest.approx(2.0)
-
-
-def test_energy_gradient_finite_difference():
-    rng = np.random.default_rng(1)
-    knots = np.array([0.0, 0.3, 0.7, 1.0])
-    vals = np.vstack([np.zeros(2), rng.normal(size=(3, 2))])
-    path = PiecewiseLinearPath(knots, vals)
-    grad = path_energy_gradient(path)
-    h = 1e-6
-    for i in range(1, 4):
-        for j in range(2):
-            bumped = vals.copy()
-            bumped[i, j] += h
-            num = (path_energy(PiecewiseLinearPath(knots, bumped))
-                   - path_energy(path)) / h
-            assert grad[i, j] == pytest.approx(num, rel=1e-4, abs=1e-6)
 
 
 def test_closed_form_inf_values():
@@ -80,7 +65,38 @@ def test_minimize_free_times_matches_closed_form():
             increments=tuple((None, None, u) for u in us))
         _, val, _ = minimize_energy(prog, n_restarts=1)
         assert val == pytest.approx(closed_form_inf(us),
-                                    rel=1e-6, abs=1e-6)
+                                    rel=1e-9, abs=1e-9)
+
+
+def test_minimize_zero_target_takes_no_time():
+    # a zero target gets a zero gap, so the free chain is e1 then e2 with
+    # half the time each: 2 * (1/2) * 1 / (1/2) = 2, with no search error
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    prog = ConstraintProgram(increments=(
+        (None, None, e1), (None, None, np.zeros(2)), (None, None, e2)))
+    path, val, _ = minimize_energy(prog)
+    assert val == pytest.approx(2.0, rel=1e-9)
+    assert path_energy(path) == pytest.approx(val, rel=1e-12)
+
+
+def test_minimize_mixed_fixed_and_free_times():
+    # t_1 = 0.2 and t_3 = 0.7 fixed, t_2 free, a free t_4 pins to 1:
+    # the run (0.2, 0.7) holds [1,2] and [0.5,0], the gap (0.7, 1) holds
+    # [0,3]; each run's value is (sum ||u||)^2 / (2 L)
+    prog = ConstraintProgram(increments=(
+        (0.2, None, [1.0, 2.0]), (None, 0.7, [0.5, 0.0]),
+        (0.7, None, [0.0, 3.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_extra in (0, 7):
+            path, val, diag = minimize_energy(prog, n_extra_knots=n_extra)
+            assert val == pytest.approx(
+                (math.sqrt(5.0) + 0.5) ** 2 / (2 * 0.5) + 9.0 / (2 * 0.3),
+                rel=1e-9)
+            assert path_energy(path) == pytest.approx(val, rel=1e-12)
+            assert diag["converged"]
+            assert path.knots[-1] == 1.0
+            assert np.allclose(path.values[-1], [1.5, 5.0])
 
 
 def test_minimize_pinned_endpoint_oracle():
@@ -112,6 +128,13 @@ def test_box_infeasible_certificates():
     with pytest.raises(InfeasibleError):
         minimize_energy(ConstraintProgram(
             boxes=(BoxConstraint(0.5, lo=[2.0], hi=[1.0]),)))
+    # chain times must not decrease, and a nonzero target needs time
+    with pytest.raises(InfeasibleError):
+        minimize_energy(ConstraintProgram(increments=(
+            (0.5, 0.7, u), (None, None, u), (0.3, 0.4, u))))
+    with pytest.raises(InfeasibleError):
+        minimize_energy(ConstraintProgram(increments=(
+            (0.5, None, u), (None, 0.5, u))))
 
 
 def test_chain_endpoint_mismatch():
@@ -119,6 +142,9 @@ def test_chain_endpoint_mismatch():
     prog = ConstraintProgram(increments=((0.0, 0.4, u), (0.5, 0.9, u)))
     with pytest.raises(ContractError):
         minimize_energy(prog)
+    with pytest.raises(ContractError):
+        ConstraintProgram(increments=((None, None, u),
+                                      (None, None, [1.0, 0.0])))
 
 
 def test_ldp_slope_fit_exact_models():
