@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from thetalab import cli, selfcheck
 from thetalab.cli import (ConfigError, EXIT_DOMAIN, EXIT_INFEASIBLE,
                           EXIT_OK, ExperimentConfig, config_hash,
                           emit_config, execute, main, parse_config)
+from thetalab.variational import closed_form_inf
 
 
 def write(tmp_path, name, doc):
@@ -140,6 +142,21 @@ def test_execute_ldp_slope_rows(tmp_path):
     assert len(fitted) == 1
     L = float(fitted[0].split("=")[1])
     assert abs(L - 0.5) < 0.05
+
+
+def test_execute_ldp_slope_three_gaps(capsys):
+    # k = 4 runs the tensor rule in three gap dimensions; it used to end in
+    # an OverflowError traceback after 30-60 s
+    us = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.6, 0.8]]
+    cfg = parse_config(json.dumps({"command": "ldp-slope", "d": 4,
+                                   "u_list": us, "format": "json",
+                                   "t_grid": [4, 8, 12, 16, 20]}))
+    t0 = time.perf_counter()
+    assert execute(cfg) == EXIT_OK
+    assert time.perf_counter() - t0 < 10.0
+    L = json.loads(capsys.readouterr().out)["meta"]["fitted_L"]
+    want = closed_form_inf([np.asarray(u) for u in us])
+    assert abs(L - want) <= 0.03 * want
 
 
 def test_execute_json_format(capsys):

@@ -2,8 +2,10 @@
 
 ``parse_config`` must turn any document into an ExperimentConfig or a
 ConfigError, and ``execute`` of the Monte Carlo commands ``pairing`` and
-``eta`` must return an exit code in {0, 2, 3, 4} and emit only finite
-numbers.  Budgets are capped so that each example runs in milliseconds.
+``eta`` and of the quadrature commands ``mass`` and ``ldp-slope`` (tensor
+Gauss-Legendre, up to three gaps) must return an exit code in {0, 2, 3, 4}
+and emit only finite numbers.  Budgets are capped so that each example runs
+in milliseconds; a three-gap ``ldp-slope`` takes up to about a second.
 """
 
 import io
@@ -188,10 +190,7 @@ def test_parse_config_raises_only_config_errors(doc):
         assert exc.errors and all(":" in e for e in exc.errors)
 
 
-@SETTINGS
-@given(documents(commands=("pairing", "eta"),
-                 always=("n_outer", "n_inner", "n_per_eps")))
-def test_execute_monte_carlo_exit_codes_and_finite_output(doc):
+def check_execute(doc):
     try:
         cfg = parse_config(json.dumps(doc))
     except ConfigError:
@@ -204,3 +203,18 @@ def test_execute_monte_carlo_exit_codes_and_finite_output(doc):
     if out.getvalue():
         result = json.loads(out.getvalue())
         assert all(math.isfinite(x) for x in numbers(result)), result
+
+
+@SETTINGS
+@given(documents(commands=("pairing", "eta"),
+                 always=("n_outer", "n_inner", "n_per_eps")))
+def test_execute_monte_carlo_exit_codes_and_finite_output(doc):
+    check_execute(doc)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(documents(commands=("mass", "ldp-slope")))
+def test_execute_quadrature_exit_codes_and_finite_output(doc):
+    if doc["command"] == "ldp-slope":
+        doc["method"] = "tensor_gauss"
+    check_execute(doc)

@@ -1,9 +1,15 @@
+import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import exp1, gamma, gammaincc
 
+from thetalab.cli import execute, parse_config
 from thetalab.errors import ContractError, DomainError
+from thetalab.estimators import WeightFunction
 from thetalab.kernels import heat_kernel
 from thetalab.simplexquad import (LogIntegral, QuadratureSpec,
                                   SimplexIntegrand, eta_mass_integral,
@@ -11,6 +17,23 @@ from thetalab.simplexquad import (LogIntegral, QuadratureSpec,
                                   mass_m, mass_m_direct, mc_simplex_raw)
 
 U4 = np.array([1.0, 0.0, 0.0, 0.0])
+NORMS = (1e-9, 1e-5, 1e-3, 0.01, 0.5, 4.0)
+
+
+def exact_mass(r, p=0.0):
+    """Exact d = 4 mass of the |x|^p weight at |u| = r, a = r^2/2.
+
+    The integral of (1 - g) (2 pi g)^{-2} e^{-a/g} E|beta_g|^p over (0, 1)
+    is c_p (2 pi)^{-2} [a^{p/2-1} Gamma(1-p/2, a) - a^{p/2} Gamma(-p/2, a)]
+    with c_p = 2^{p/2} Gamma((p+1)/2) / sqrt(pi); at p = 0 it is
+    (2 pi)^{-2} [e^{-a}/a - E_1(a)].
+    """
+    a, s = r * r / 2.0, -p / 2.0
+    upper = gammaincc(s + 1.0, a) * gamma(s + 1.0)
+    lower = exp1(a) if p == 0.0 else (upper - a ** s * math.exp(-a)) / s
+    c = 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    return c * (a ** (-s - 1.0) * upper - a ** -s * lower) \
+        / (2.0 * math.pi) ** 2
 
 
 def test_integrand_validation():
@@ -46,6 +69,55 @@ def test_mass_dual_route_spot():
         mass_m(np.zeros(4), 4)
     with pytest.raises(DomainError):
         mass_m_direct(np.zeros(4), 4)
+
+
+def test_mass_matches_closed_form_down_to_tiny_u():
+    # the kernel peak sits at g ~ |u|^2/4; the parent route returned 0.0 at
+    # |u| = 1e-9 and was 86% low at 1e-3
+    assert exact_mass(1.0) == pytest.approx(mass_m_direct(U4, 4), rel=1e-13)
+    for r in NORMS:
+        u = [r, 0.0, 0.0, 0.0]
+        want = exact_mass(r)
+        assert mass_m(u, 4) == pytest.approx(want, rel=1e-10), r
+        out = io.StringIO()
+        cfg = parse_config(json.dumps({"command": "mass", "d": 4, "u": u,
+                                       "format": "json"}))
+        assert execute(cfg, out_stream=out) == 0
+        row = json.loads(out.getvalue())["rows"][0]
+        assert row["value"] == pytest.approx(want, rel=1e-10), r
+
+
+def test_rel_err_bounds_actual_error():
+    for r in NORMS:
+        res = gap_reduced_integral(SimplexIntegrand(4, ([r, 0, 0, 0],)))
+        want = exact_mass(r)
+        assert abs(res.value - want) <= res.rel_err * want, r
+        assert res.rel_err <= 1e-9 and not res.warning
+    # k = 3 against the same rule run to the end of its node ladder
+    full = QuadratureSpec(target_rel_err=1e-300)
+    u2 = np.array([0.3, -1.2, 0.5, 0.0])
+    for ig in (SimplexIntegrand(4, (U4, U4)),
+               SimplexIntegrand(4, (U4, u2), scale_t=20.0),
+               SimplexIntegrand(4, (1e-3 * U4, u2)),
+               SimplexIntegrand(4, (U4, np.zeros(4)), eps_shift=0.05)):
+        res = gap_reduced_integral(ig)
+        ref = gap_reduced_integral(ig, full)
+        assert abs(math.expm1(res.log_value - ref.log_value)) \
+            <= res.rel_err <= 1e-9
+        assert not res.warning
+
+
+def test_ldp_curve_k3_matches_nested_quad_values():
+    # criterion 4's k = 3 curve as the nested adaptive scipy.quad route
+    # computed it; the tensor rule must agree and raise no warning
+    old = [2.836654194727329, 2.2630557753959653, 2.1309700952519406,
+           2.0792850543727015, 2.0535304171214617]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = ldp_mass_curve([U4, U4], 4, [4.0, 8.0, 12.0, 16.0, 20.0])
+    for (_, y, rel), want in zip(curve, old):
+        assert y == pytest.approx(want, rel=1e-9)
+        assert 0.0 < rel <= 1e-9
 
 
 def test_gap_reduction_vs_raw_mc_k2():
@@ -110,6 +182,13 @@ def test_eta_mass_f_one_collapses_to_mass():
     assert got == pytest.approx(mass_m(U4, 4), rel=1e-8)
     with pytest.raises(DomainError):
         eta_mass_integral(np.zeros(4), 4, lambda g: 1.0)
+
+
+def test_eta_mass_abs_power_matches_closed_form():
+    f = WeightFunction("abs_power", 0.5)
+    for m in range(9):
+        got = eta_mass_integral([2.0 ** -m, 0, 0, 0], 4, f.gaussian_moment)
+        assert got == pytest.approx(exact_mass(2.0 ** -m, 0.5), rel=1e-10)
 
 
 def test_eta_mass_divergent_moment():
