@@ -29,6 +29,7 @@ _CHUNK = 2 ** 13
 _CUT = 45.0        # an axis ends where log f is _CUT below its peak
 _Y_MARGIN = 60.0   # y = log s is searched down to log(|u|^2/d + eps) - this
 _Y_FLOOR = -700.0  # ... and never below this
+# built on first use and shared: callers must not write to the arrays
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
@@ -203,7 +204,8 @@ def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
     prev = diff = math.inf
     for n in _LADDER:
         shape = (2 * n,) * sq.size
-        if math.prod(shape) > _MAX_NODES:
+        total = math.prod(shape)
+        if total > _MAX_NODES:
             break
         x, w = _gauss_legendre(n)
         rules = []  # per axis: nodes and log weights on [a, p] and [p, b]
@@ -213,9 +215,9 @@ def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
                 rules.append((np.ravel([[a], [p]] + half * (x + 1.0)),
                               np.ravel(np.log(half * w))))
         parts = []
-        for start in range(0, math.prod(shape), _CHUNK):
+        for start in range(0, total, _CHUNK):
             idx = np.unravel_index(
-                np.arange(start, min(start + _CHUNK, math.prod(shape))), shape)
+                np.arange(start, min(start + _CHUNK, total)), shape)
             y = np.stack([nodes[i] for (nodes, _), i in zip(rules, idx)], -1)
             logw = sum(lw[i] for (_, lw), i in zip(rules, idx))
             parts.append(logsumexp(logf(y) + logw))
