@@ -72,8 +72,8 @@ def test_mass_dual_route_spot():
 
 
 def test_mass_matches_closed_form_down_to_tiny_u():
-    # the kernel peak sits at g ~ |u|^2/4; the parent route returned 0.0 at
-    # |u| = 1e-9 and was 86% low at 1e-3
+    # the kernel peak sits at g ~ |u|^2/4; the nested scipy.quad route this
+    # rule replaced returned 0.0 at |u| = 1e-9 and was 86% low at 1e-3
     assert exact_mass(1.0) == pytest.approx(mass_m_direct(U4, 4), rel=1e-13)
     for r in NORMS:
         u = [r, 0.0, 0.0, 0.0]
