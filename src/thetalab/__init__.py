@@ -13,7 +13,8 @@ conditioned path sampling (:mod:`~thetalab.sampler`), pairing estimators
 __version__ = "0.1.0"
 
 from .chaos import (ChaosSpectrum, IncrementSpec, SobolevIndex,
-                    delta_increment_spectrum, sobolev_norm_sq, wick_convolve)
+                    delta_increment_norm_sq, delta_increment_spectrum,
+                    sobolev_norm_sq, wick_convolve)
 from .errors import (CapacityError, ContractError, DomainError,
                      InfeasibleError)
 from .kernels import heat_kernel, hermite_eval, log_heat_kernel
@@ -24,7 +25,8 @@ from .variational import closed_form_inf, minimize_energy, path_energy
 __all__ = [
     "__version__",
     "ChaosSpectrum", "IncrementSpec", "SobolevIndex",
-    "delta_increment_spectrum", "sobolev_norm_sq", "wick_convolve",
+    "delta_increment_norm_sq", "delta_increment_spectrum",
+    "sobolev_norm_sq", "wick_convolve",
     "CapacityError", "ContractError", "DomainError", "InfeasibleError",
     "heat_kernel", "hermite_eval", "log_heat_kernel",
     "PathGrid", "TimeGrid", "sample_bm", "sample_conditioned_bm",

@@ -10,10 +10,14 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.integrate import quad
+from scipy.special import exprel, gammaln
 
 from .errors import CapacityError, DomainError
 from .kernels import N_MAX, log_heat_kernel, log_hermite_sq_over_fact_seq
+
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -71,12 +75,18 @@ class IncrementSpec:
 def sobolev_norm_sq(sp: ChaosSpectrum, idx: SobolevIndex):
     """Sum_k (k+1)^gamma a_k over the truncated spectrum.
 
-    Returns (value, last_term); the magnitude of the last weighted term is
-    the convergence diagnostic callers use to judge the truncation.
+    Returns (value, last_term).  The last weighted term does not bound the
+    truncation error; for the delta-increment spectrum compare with
+    :func:`delta_increment_norm_sq`.  A nonzero spectrum whose weighted sum
+    underflows raises DomainError instead of returning 0.0.
     """
     k = np.arange(sp.levels.size, dtype=float)
     terms = (k + 1.0) ** idx.gamma * sp.levels
-    return float(terms.sum()), float(terms[-1])
+    value = float(terms.sum())
+    if value < np.finfo(float).tiny and np.any(sp.levels > 0.0):
+        raise DomainError(f"weighted sum {value!r} of a nonzero spectrum "
+                          f"lies below the double range")
+    return value, float(terms[-1])
 
 
 def sobolev_partial_sums(sp: ChaosSpectrum, idx: SobolevIndex):
@@ -85,25 +95,18 @@ def sobolev_partial_sums(sp: ChaosSpectrum, idx: SobolevIndex):
     return np.cumsum((k + 1.0) ** idx.gamma * sp.levels)
 
 
-def _log_convolve(la, lb):
-    """Log-domain linear convolution truncated to len(la)+len(lb)-1 terms."""
-    n, m = la.size, lb.size
-    out = np.empty(n + m - 1)
-    for k in range(n + m - 1):
-        i_lo = max(0, k - m + 1)
-        i_hi = min(k, n - 1)
-        idx = np.arange(i_lo, i_hi + 1)
-        out[k] = logsumexp(la[idx] + lb[k - idx])
-    return out
-
-
 def delta_increment_spectrum(spec: IncrementSpec, d: int, K: int):
     """Chaos spectrum of the Dirac delta of a Brownian increment at u.
 
     a_k = (p^d_{t-s}(u))^2 * sum_{n_1+..+n_d=k} prod_j H_{n_j}^2(x_j)/n_j!
-    with x = u/sqrt(t-s).  The composition sum is the d-fold convolution of
-    the one-dimensional sequences H_n^2(x_j)/n_j!, accumulated in the log
-    domain so that large |x| never overflows.
+    with x = u/sqrt(t-s).  The sum is rotation invariant, so x is put on
+    r e_1 with r = |x|: the other d-1 coordinates sit at 0, where
+    sum_n H_n(0)^2 s^n/n! = (1-s^2)^{-1/2}, and
+    a_k = p^2 sum_{n+2j=k} H_n(r)^2/n! c_j with c_j the s^{2j} coefficient
+    of (1-s^2)^{-(d-1)/2}.  Both sequences are nonnegative and enter one
+    linear-domain convolution after their largest log is taken out, so each
+    level keeps its relative accuracy.  Levels beyond the double range raise
+    DomainError naming r.
     """
     if np.all(spec.u == 0.0):
         raise DomainError("delta-increment spectrum requires u != 0")
@@ -114,13 +117,23 @@ def delta_increment_spectrum(spec: IncrementSpec, d: int, K: int):
     if spec.u.size != d:
         raise DomainError(f"u has dimension {spec.u.size}, expected {d}")
     tau = spec.t - spec.s
-    x = spec.u / np.sqrt(tau)
-    log_conv = log_hermite_sq_over_fact_seq(K, x[0])
-    for j in range(1, d):
-        nxt = log_hermite_sq_over_fact_seq(K, x[j])
-        log_conv = _log_convolve(log_conv, nxt)[: K + 1]
-    log_p = log_heat_kernel(spec.u, tau, d)
-    return ChaosSpectrum(np.exp(2.0 * log_p + log_conv))
+    r = float(np.linalg.norm(spec.u)) / np.sqrt(tau)
+    log_h = log_hermite_sq_over_fact_seq(K, r)
+    j = np.arange(K // 2 + 1)
+    if d == 1:
+        log_c = np.where(j == 0, 0.0, -np.inf)
+    else:
+        a = 0.5 * (d - 1)
+        log_c = gammaln(j + a) - gammaln(a) - gammaln(j + 1.0)
+    c = np.zeros(K + 1)
+    c[::2] = np.exp(log_c - log_c.max())
+    top = log_h.max() + log_c.max()
+    conv = np.convolve(np.exp(log_h - log_h.max()), c)[: K + 1]
+    with np.errstate(divide="ignore"):
+        log_a = 2.0 * log_heat_kernel(spec.u, tau, d) + top + np.log(conv)
+    _check_range(log_a.max(), np.log(K + 1.0), r, tau,
+                 f"the levels up to K={K}")
+    return ChaosSpectrum(np.exp(log_a))
 
 
 def wick_convolve(a: ChaosSpectrum, b: ChaosSpectrum):
@@ -132,51 +145,87 @@ def wick_convolve(a: ChaosSpectrum, b: ChaosSpectrum):
     return ChaosSpectrum(np.convolve(a.levels, b.levels))
 
 
-_BOUND_FIT_CACHE: dict = {}
+def _mehler_mean(d, gamma, x2):
+    """E[(1 - e^{-2R})^{-d/2} exp(-|x|^2 tanh(R/2)/2)], R ~ Gamma(-gamma, 1).
 
-# (||u||, t-s) grid over which the series constant of the norm bound is
-# calibrated; matches the regimes exercised by the test suites.
-_FIT_NORMS = (0.5, 1.0, 2.0, 4.0)
-_FIT_SPANS = (0.1, 0.3, 0.5, 1.0)
-
-
-def fit_norm_bound_constant(d, gamma, alpha, K=500):
-    """Largest ratio truncated-norm / p^d_{t-s}(c u) over the fit grid.
-
-    The existence statement behind the bound fixes no constant, so the
-    constant is calibrated once per (d, gamma, alpha) and cached.
+    Finite exactly when gamma < -d/2: the integrand behaves like
+    R^{-gamma-d/2-1} at 0.  Below r0 = 1/(1 + |x|^2) the substitution
+    w = R^{-gamma-d/2} removes that singularity; above r0 the integral runs
+    in log R, as one exponent so that no factor overflows.
     """
-    key = (d, round(float(gamma), 12), round(float(alpha), 12), K)
-    if key in _BOUND_FIT_CACHE:
-        return _BOUND_FIT_CACHE[key]
-    c = np.sqrt(1.0 - 2.0 * alpha)
-    best = 0.0
-    e1 = np.zeros(d)
-    for norm in _FIT_NORMS:
-        for tau in _FIT_SPANS:
-            u = e1.copy()
-            u[0] = norm
-            sp = delta_increment_spectrum(IncrementSpec(u, 0.0, tau), d, K)
-            val, _ = sobolev_norm_sq(sp, SobolevIndex(gamma))
-            kernel = np.exp(log_heat_kernel(c * u, tau, d))
-            best = max(best, np.sqrt(val) / kernel)
-    _BOUND_FIT_CACHE[key] = best
-    return best
+    beta, r0 = -gamma - d / 2.0, 1.0 / (1.0 + x2)
+
+    def log_rest(r):
+        return -r - 0.5 * x2 * np.tanh(0.5 * r) - gammaln(-gamma)
+
+    def near(w):  # r^{d/2} (1 - e^{-2r})^{-d/2} = (2 exprel(-2r))^{-d/2}
+        r = w ** (1.0 / beta)
+        return (2.0 * exprel(-2.0 * r)) ** (-d / 2.0) \
+            * np.exp(log_rest(r)) / beta
+
+    def far(y):
+        r = np.exp(y)
+        return np.exp(-gamma * y + log_rest(r)
+                      - 0.5 * d * np.log(-np.expm1(-2.0 * r)))
+
+    top = np.log(-gamma + 40.0 + 10.0 * np.sqrt(-gamma))
+    mode = min(max(np.log(-gamma), np.log(r0)), top)
+    opts = {"epsabs": 0.0, "epsrel": 1e-11, "limit": 200}
+    return quad(near, 0.0, r0 ** beta, **opts)[0] \
+        + quad(far, np.log(r0), top, points=[mode], **opts)[0]
+
+
+def _check_convergent(d, idx):
+    if idx.gamma >= -d / 2.0:
+        raise DomainError(
+            f"gamma={idx.gamma} >= -d/2={-d / 2}: series diverges")
+
+
+def _check_range(log_top, slack, r, tau, what):
+    """DomainError naming r = |u|/sqrt(tau) when exp(log_top) is no double."""
+    if not _LOG_TINY <= log_top <= _LOG_MAX - slack:
+        side = "below" if log_top < _LOG_TINY else "above"
+        raise DomainError(
+            f"|u|/sqrt(tau) = {r:.6g}, tau = {tau:.3g}: {what} lie {side} "
+            f"the double range (largest exp({log_top:.1f}))")
+
+
+def delta_increment_norm_sq(spec: IncrementSpec, d: int, idx: SobolevIndex):
+    """Exact ||delta_u(w(t) - w(s))||^2_{2,gamma}, for gamma < -d/2.
+
+    With (k+1)^gamma = Gamma(-gamma)^{-1} int r^{-gamma-1} e^{-(k+1)r} dr,
+    Mehler's formula sums the levels: the norm is p_tau(u)^2
+    Gamma(-gamma)^{-1} int_0^inf r^{-gamma-1} e^{-r} (1 - e^{-2r})^{-d/2}
+    exp(|x|^2 e^{-r}/(1 + e^{-r})) dr with x = u/sqrt(tau), which equals
+    (2 pi tau)^{-d} e^{-|x|^2/2} _mehler_mean(d, gamma, |x|^2).
+    """
+    _check_convergent(d, idx)
+    if spec.u.size != d:
+        raise DomainError(f"u has dimension {spec.u.size}, expected {d}")
+    tau = spec.t - spec.s
+    x2 = float(spec.u @ spec.u) / tau
+    with np.errstate(divide="ignore"):
+        log_norm = -d * np.log(2.0 * np.pi * tau) - 0.5 * x2 \
+            + np.log(_mehler_mean(d, idx.gamma, x2))
+    _check_range(log_norm, 0.0, np.sqrt(x2), tau, "the norm and its tail")
+    return float(np.exp(log_norm))
 
 
 def norm_bound_delta(spec: IncrementSpec, d: int, idx: SobolevIndex,
                      alpha: float = 0.45):
-    """Fitted upper bound C * p^d_{t-s}(c u) on the delta-increment norm.
+    """Proven bound sqrt(J) * p^d_{t-s}(c u) on the delta-increment norm.
 
-    Valid only in the convergent regime gamma < -d/2; c = sqrt(1 - 2 alpha)
-    with alpha in (1/4, 1/2).
+    Valid for gamma < -d/2; c = sqrt(1 - 2 alpha) with alpha in (1/4, 1/2).
+    J(d, gamma) = _mehler_mean(d, gamma, 0) is the squared norm at u = 0
+    over p_tau(0)^2, where the bound is attained.  The |x|-dependent factor
+    of the Mehler integrand is at most 1, so the norm is at most
+    sqrt(J) p_tau(0) e^{-|x|^2/4}, and alpha > 1/4 gives
+    e^{-|x|^2/4} <= e^{-c^2 |x|^2/2}.
     """
-    if idx.gamma >= -d / 2.0:
-        raise DomainError(
-            f"gamma={idx.gamma} >= -d/2={-d / 2}: series diverges")
+    _check_convergent(d, idx)
     if not (0.25 < alpha < 0.5):
         raise DomainError("alpha must lie in (1/4, 1/2)")
-    C = fit_norm_bound_constant(d, idx.gamma, alpha)
     c = np.sqrt(1.0 - 2.0 * alpha)
     tau = spec.t - spec.s
-    return float(C * np.exp(log_heat_kernel(c * spec.u, tau, d)))
+    return float(np.sqrt(_mehler_mean(d, idx.gamma, 0.0))
+                 * np.exp(log_heat_kernel(c * spec.u, tau, d)))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .chaos import (IncrementSpec, SobolevIndex, delta_increment_spectrum,
-                    sobolev_norm_sq)
+from .chaos import (IncrementSpec, SobolevIndex, delta_increment_norm_sq,
+                    delta_increment_spectrum, sobolev_norm_sq)
 from .errors import (CapacityError, ContractError, DomainError,
                      InfeasibleError)
 from .estimators import (WeightFunction, eta_mass_scan,
@@ -529,14 +529,17 @@ def _run_eta(p, seed):
 
 def _run_chaos_norm(p, seed):
     spec = IncrementSpec(np.asarray(p["u"]), p["s"], p["t"])
+    idx = SobolevIndex(p["gamma"])
     sp = delta_increment_spectrum(spec, p["d"], p["K"])
-    value, last = sobolev_norm_sq(sp, SobolevIndex(p["gamma"]))
+    value, _ = sobolev_norm_sq(sp, idx)
     divergent = p["gamma"] >= -p["d"] / 2.0
+    exact = None if divergent else delta_increment_norm_sq(spec, p["d"], idx)
     meta = {"divergence_mode": divergent,
             "truncation_K": sp.truncation_K}
-    rows = [{"value": value, "last_term": last,
+    rows = [{"value": value, "exact": exact,
+             "tail": None if divergent else exact - value,
              "divergent": int(divergent)}]
-    return meta, ("value", "last_term", "divergent"), rows, False
+    return meta, ("value", "exact", "tail", "divergent"), rows, False
 
 
 def _run_rate_min(p, seed):
@@ -603,6 +606,8 @@ RUNNERS = {
 # artifact emission
 
 def _fmt(v):
+    if v is None:
+        return ""
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     if isinstance(v, np.integer):

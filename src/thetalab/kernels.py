@@ -14,6 +14,8 @@ from .errors import CapacityError, ContractError, DomainError
 # truncations used by the series divergence scans.
 N_MAX = 5000
 
+_RESCALE = 2.0 ** 500
+
 
 def log_heat_kernel(z, eps, d=None):
     """log p_eps^d(z) for the centered Gaussian density with covariance eps*I.
@@ -22,16 +24,12 @@ def log_heat_kernel(z, eps, d=None):
     ``eps`` broadcasts against the batch shape.
     """
     z = np.asarray(z, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0.0):
-        raise DomainError("heat kernel variance must be positive")
     if d is None:
         d = z.shape[-1]
     elif z.shape[-1] != d:
         raise ContractError(
             f"dimension mismatch: len(z)={z.shape[-1]} but d={d}")
-    sq = np.sum(z * z, axis=-1)
-    return -0.5 * d * np.log(2.0 * np.pi * eps) - sq / (2.0 * eps)
+    return log_heat_kernel_sq(np.sum(z * z, axis=-1), eps, d)
 
 
 def log_heat_kernel_sq(sq_norm, eps, d):
@@ -72,26 +70,44 @@ def hermite_eval(n, x):
     return cur
 
 
-def hermite_normalized_seq(nmax, x):
-    """Array of r_n = H_n(x)/sqrt(n!) for n = 0..nmax.
+def _normalized_recurrence(nmax, x):
+    """Scaled r_n = H_n(x)/sqrt(n!) for n = 0..nmax: (values, exponents).
 
-    The normalized recurrence r_{n+1} = (x r_n - sqrt(n) r_{n-1})/sqrt(n+1)
-    keeps magnitudes of order exp(x^2/2) at worst, so no overflow occurs for
-    any degree this module accepts when |x| <= 37.
+    r_n = values[n] * 2^exponents[n].  The normalized recurrence
+    r_{n+1} = (x r_n - sqrt(n) r_{n-1})/sqrt(n+1) runs on a pair that is
+    divided by 2^500 whenever it grows past that, which is exact and keeps
+    every degree finite at any x.
     """
     _check_degree(nmax)
     x = float(x)
-    r = np.empty(nmax + 1)
-    r[0] = 1.0
-    if nmax >= 1:
-        r[1] = x
-    for m in range(1, nmax):
-        r[m + 1] = (x * r[m] - np.sqrt(m) * r[m - 1]) / np.sqrt(m + 1)
-    return r
+    roots = np.sqrt(np.arange(nmax + 1)).tolist()
+    vals = [1.0]
+    exps = [0]
+    prev, cur, e = 0.0, 1.0, 0
+    for m in range(nmax):
+        prev, cur = cur, (x * cur - roots[m] * prev) / roots[m + 1]
+        if abs(cur) > _RESCALE:
+            prev, cur, e = prev / _RESCALE, cur / _RESCALE, e + 500
+        vals.append(cur)
+        exps.append(e)
+    return np.array(vals), np.array(exps)
+
+
+def hermite_normalized_seq(nmax, x):
+    """Array of r_n = H_n(x)/sqrt(n!) for n = 0..nmax.
+
+    Magnitudes reach about exp(x^2/2), so the values are finite for every
+    degree this module accepts when |x| <= 37; past that use
+    :func:`log_hermite_sq_over_fact_seq`.
+    """
+    return np.ldexp(*_normalized_recurrence(nmax, x))
 
 
 def log_hermite_sq_over_fact_seq(nmax, x):
-    """Vector of log(H_n(x)^2/n!) for n = 0..nmax (-inf at exact zeros)."""
-    r = hermite_normalized_seq(nmax, x)
+    """Vector of log(H_n(x)^2/n!) for n = 0..nmax (-inf at exact zeros).
+
+    Finite at every x: the recurrence is rescaled, never exponentiated.
+    """
+    vals, exps = _normalized_recurrence(nmax, x)
     with np.errstate(divide="ignore"):
-        return 2.0 * np.log(np.abs(r))
+        return 2.0 * (np.log(np.abs(vals)) + exps * np.log(2.0))

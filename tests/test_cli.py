@@ -190,6 +190,30 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_chaos_norm_reports_exact_norm_and_tail(tmp_path, capsys):
+    doc = {"command": "chaos-norm", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],
+           "s": 0.0, "t": 0.3, "gamma": -2.5, "K": 800, "format": "json"}
+    assert main(["chaos-norm", "--config",
+                 write(tmp_path, "c.json", doc)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["meta"]["columns"] == ["value", "exact", "tail", "divergent"]
+    row = out["rows"][0]
+    assert row["tail"] == pytest.approx(row["exact"] - row["value"],
+                                        rel=1e-12)
+    assert 1e-4 < row["tail"] < 1e-3          # the last term reads 1.7e-7
+    doc.update(gamma=-1.5, format="csv")
+    assert main(["chaos-norm", "--config",
+                 write(tmp_path, "d.json", doc)]) == EXIT_OK
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[1:] == ["", "", "1"]          # no exact norm when divergent
+    # past the double range: a message and exit 2, not a traceback or 0.0
+    for u, t in ((40.0, 0.01), (8.0, 0.05)):
+        doc.update(u=[u, 0.0, 0.0, 0.0], t=t, K=200, gamma=-2.5)
+        assert main(["chaos-norm", "--config",
+                     write(tmp_path, "e.json", doc)]) == EXIT_DOMAIN
+        assert "|u|/sqrt(tau)" in capsys.readouterr().err
+
+
 PAIRING = {"command": "pairing", "d": 4, "u_list": [[1.0, 0.0, 0.0, 0.0]],
            "method": "bridge", "n_outer": 8, "n_inner": 1, "seed": 3}
 ETA = {"command": "eta", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],

@@ -2,9 +2,9 @@
 
 ``parse_config`` must turn any document into an ExperimentConfig or a
 ConfigError, and ``execute`` of the Monte Carlo commands ``pairing`` and
-``eta`` and of the quadrature commands ``mass`` and ``ldp-slope`` (tensor
-Gauss-Legendre, up to three gaps) must return an exit code in {0, 2, 3, 4}
-and emit only finite numbers.  Budgets are capped so that each example runs
+``eta``, of the quadrature commands ``mass`` and ``ldp-slope`` (tensor
+Gauss-Legendre, up to three gaps) and of ``chaos-norm`` must return an exit
+code in {0, 2, 3, 4} and emit only finite numbers.  Budgets are capped so that each example runs
 in milliseconds; a three-gap ``ldp-slope`` takes up to about a second.
 """
 
@@ -203,6 +203,7 @@ def check_execute(doc):
     if out.getvalue():
         result = json.loads(out.getvalue())
         assert all(math.isfinite(x) for x in numbers(result)), result
+    return code
 
 
 @SETTINGS
@@ -218,3 +219,17 @@ def test_execute_quadrature_exit_codes_and_finite_output(doc):
     if doc["command"] == "ldp-slope":
         doc["method"] = "tensor_gauss"
     check_execute(doc)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(documents(commands=("chaos-norm",)), st.floats(-1.0, 2.0),
+       st.floats(-6.0, 0.0), st.integers(0, 400))
+def test_execute_chaos_norm_exit_codes_and_finite_output(doc, log_scale,
+                                                         log_tau, K):
+    # |u| up to 300 and t - s down to 1e-6 reach |u|/sqrt(tau) far past
+    # the double range of the levels as well as the ordinary regime
+    doc["u"] = [x * 10.0 ** log_scale for x in doc["u"]]
+    doc["t"] = min(1.0, doc["s"] + 10.0 ** log_tau)
+    doc["K"] = K
+    code = check_execute(doc)
+    assert code in (None, 0, 2)

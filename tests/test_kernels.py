@@ -103,6 +103,17 @@ def test_log_hermite_sq_zero_reported():
     assert np.isfinite(seq[0]) and np.isfinite(seq[2])
 
 
+def test_log_hermite_sq_finite_past_linear_range():
+    # the linear recurrence overflows past |x| ~ 37.6; the log sequence is
+    # rescaled and agrees with the direct three-term recurrence
+    for x in (60.0, -400.0):
+        seq = log_hermite_sq_over_fact_seq(100, x)
+        want = [2.0 * math.log(abs(hermite_eval(n, x)))
+                - math.lgamma(n + 1.0) for n in range(101)]
+        assert np.allclose(seq, want, rtol=1e-13, atol=0.0)
+    assert np.all(np.isfinite(log_hermite_sq_over_fact_seq(N_MAX, 400.0)))
+
+
 def test_mehler_generating_function():
     # sum_n H_n(x)^2 z^n / n! = (1 - z^2)^{-1/2} exp(x^2 z / (1 + z))
     for x in (0.4, 1.3, 2.2):
