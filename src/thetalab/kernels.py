@@ -80,17 +80,15 @@ def _normalized_recurrence(nmax, x):
     """
     _check_degree(nmax)
     x = float(x)
-    roots = np.sqrt(np.arange(nmax + 1)).tolist()
-    vals = [1.0]
-    exps = [0]
-    prev, cur, e = 0.0, 1.0, 0
+    vals = np.empty(nmax + 1)
+    exps = np.zeros(nmax + 1, dtype=int)
+    prev, vals[0], e = 0.0, 1.0, 0
     for m in range(nmax):
-        prev, cur = cur, (x * cur - roots[m] * prev) / roots[m + 1]
+        prev, cur = vals[m], (x * vals[m] - np.sqrt(m) * prev) / np.sqrt(m + 1)
         if abs(cur) > _RESCALE:
             prev, cur, e = prev / _RESCALE, cur / _RESCALE, e + 500
-        vals.append(cur)
-        exps.append(e)
-    return np.array(vals), np.array(exps)
+        vals[m + 1], exps[m + 1] = cur, e
+    return vals, exps
 
 
 def hermite_normalized_seq(nmax, x):

@@ -4,8 +4,9 @@
 ConfigError, and ``execute`` of the Monte Carlo commands ``pairing`` and
 ``eta``, of the quadrature commands ``mass`` and ``ldp-slope`` (tensor
 Gauss-Legendre, up to three gaps) and of ``chaos-norm`` must return an exit
-code in {0, 2, 3, 4} and emit only finite numbers.  Budgets are capped so that each example runs
-in milliseconds; a three-gap ``ldp-slope`` takes up to about a second.
+code in {0, 2, 3, 4} and emit only finite numbers.  Budgets are capped so
+that each example runs in milliseconds; a three-gap ``ldp-slope`` takes up
+to about a second.
 """
 
 import io
