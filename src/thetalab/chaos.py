@@ -187,7 +187,7 @@ def _check_range(log_top, slack, r, tau, what):
         side = "below" if log_top < _LOG_TINY else "above"
         raise DomainError(
             f"|u|/sqrt(tau) = {r:.6g}, tau = {tau:.3g}: {what} lie {side} "
-            f"the double range (largest exp({log_top:.1f}))")
+            f"the double range (largest exp({log_top:.6g}))")
 
 
 def delta_increment_norm_sq(spec: IncrementSpec, d: int, idx: SobolevIndex):
