@@ -342,6 +342,8 @@ SCHEMAS = {
         "set": (_v_set, True),
         "t_grid": (_v_num_list(lo=1.0, increasing=True, min_len=3), True),
         "n_samples": (_v_int(lo=2), False),
+        # ignored: paths are drawn on the minimizer's knots; accepted for
+        # one more release so that existing configs still parse
         "n_cells": (_v_int(lo=2), False),
     },
     "selfcheck": {
@@ -443,6 +445,9 @@ def _cross_validate(command, p):
     if command == "schilder" and p["set"]["type"] == "box_at_one":
         check_dim(p["set"]["lo"], "set.lo")
         check_dim(p["set"]["hi"], "set.hi")
+    if command == "schilder" and p["set"]["type"] == "halfspace" \
+            and p["set"]["coord"] >= dim:
+        errs.append(f"set.coord: {p['set']['coord']} is not below d={dim}")
     return errs
 
 
@@ -482,11 +487,13 @@ def _run_ldp_slope(p, seed):
                        seed=seed or 0)
     curve = ldp_mass_curve(p["u_list"], p["d"], p["t_grid"], q)
     L, diag = ldp_slope_fit(curve)
-    rows = [{"t": t, "value": y, "stderr": rel * abs(y)}
+    # a relative error r of I moves -log(I)/t^2 by about log(1 + r)/t^2
+    rows = [{"t": t, "value": y, "stderr": math.log1p(rel) / t ** 2}
             for t, y, rel in curve]
     meta = {"fitted_L": L, "coefficients": diag["coefficients"],
             "max_residual": diag["max_residual"]}
-    return meta, ("t", "value", "stderr"), rows, False
+    missed = any(rel > q.target_rel_err for _, _, rel in curve)
+    return meta, ("t", "value", "stderr"), rows, missed
 
 
 def _run_pairing(p, seed):
@@ -576,8 +583,7 @@ def _run_asymptotic_scan(p, seed):
 
 def _run_schilder(p, seed):
     rows_raw, warning = schilder_empirical_slope(
-        p["set"], p["d"], p["t_grid"], p.get("n_samples", 200000), seed,
-        n_cells=p.get("n_cells", 64))
+        p["set"], p["d"], p["t_grid"], p.get("n_samples", 200000), seed)
     finite = [(t, y, se) for t, y, se, _ in rows_raw if math.isfinite(y)]
     meta = {}
     if len(finite) >= 3:
@@ -585,7 +591,9 @@ def _run_schilder(p, seed):
         meta = {"fitted_L": L, "max_residual": diag["max_residual"]}
     else:
         warning = True
-    rows = [{"t": t, "value": y, "stderr": se, "ess": ess}
+    # a point that no sample reached has no estimate: null, not inf
+    rows = [{"t": t, "value": y, "stderr": se, "ess": ess} if math.isfinite(y)
+            else {"t": t, "value": None, "stderr": None, "ess": ess}
             for t, y, se, ess in rows_raw]
     return meta, ("t", "value", "stderr", "ess"), rows, warning
 

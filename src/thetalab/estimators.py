@@ -6,8 +6,9 @@ cylinder test functional with the measure theta_{u_1..u_{k-1}}:
 * ``pairing_bridge`` integrates the conditional expectation given the
   prescribed increments (sampled exactly by bridge construction) against
   the product of heat kernels over the ordered simplex;
-* ``pairing_epsilon`` averages the smoothed kernel product along a ladder
-  of epsilon values and Richardson-extrapolates to epsilon -> 0.
+* ``pairing_epsilon`` integrates the Gaussian mollifier p_eps in closed
+  form along a ladder of epsilon values, on one draw shared by every rung,
+  and extrapolates each sample's rung values to epsilon -> 0.
 
 Agreement of the two routes is the operational content of the measure
 representation and is what the acceptance suite checks.
@@ -25,7 +26,7 @@ from scipy.special import ndtr
 from .errors import ContractError, DomainError
 from .kernels import log_heat_kernel_sq
 from .sampler import (bridge_adjust, interval_overlap, make_rng, path_at,
-                      row_increments, tilt, union_times)
+                      row_increments, union_times)
 
 _CHUNK = 64  # outer nodes per vectorized block, keeps arrays < ~100 MB
 
@@ -264,65 +265,63 @@ def pairing_bridge(F: CylinderFunctional, u_list, d, n_outer, n_inner,
         n_outer * n_inner, "bridge")
 
 
-def _epsilon_single(F, us, d, eps, n, rng):
-    """One rung of the smoothed estimator, with Cameron-Martin tilting.
+def extrapolation_weights(eps_values):
+    """Lagrange weights at 0: sum_r w_r P(eps_r) = P(0) for polynomials P
+    of degree below the number of rungs; (1/3, -2, 8/3) on 0.04/0.02/0.01.
+    """
+    eps = [float(e) for e in eps_values]
+    return np.array([math.prod(b / (b - a) for b in eps if b != a)
+                     for a in eps])
 
-    Each path is shifted so its window increments center on the targets
-    u_j; the exact change-of-measure weight keeps the estimator unbiased
-    while the smoothed kernels are evaluated near their mode instead of in
-    the far tail (which naive sampling cannot resolve for k >= 3).
+
+def _smoothed_rungs(F, us, d, eps_ladder, n, rng):
+    """Per-sample smoothed kernel values at every rung, shape (n, rungs).
+
+    Given the window increments dw_j ~ N(0, g_j I), the mollifier
+    integrates in closed form:
+
+        E[F prod_j p_eps(dw_j - u_j)] = prod_j p_{g_j+eps}(u_j)
+                                        E[F | dw_j = Y_j],
+        Y_j = g_j/(g_j+eps) u_j + sqrt(g_j eps/(g_j+eps)) xi_j,
+
+    with xi_j standard normal.  Each sample draws its tuple, raw increments
+    and xi once for all rungs.  The bridge is linear in its targets, so a
+    rung only adds sum_j share_j Y_j to the zero-target bridge, share_j
+    being the part of window j crossed at an eval time: one extra
+    coordinate per window, bridged to a unit target, carries it.
     """
     k = len(us) + 1
-    vals = np.empty(n)
+    u = np.stack(us)
+    unit = np.hstack([np.zeros((k - 1, d)), np.eye(k - 1)])
+    vals = np.empty((n, len(eps_ladder)))
     for lo in range(0, n, _CHUNK * 64):
         t = np.sort(rng.random((min(_CHUNK * 64, n - lo), k)), axis=1)
         times, pos_eval, pos_t = union_times(t, F.eval_times)
-        dt = np.diff(times, axis=1)
-        incs = row_increments(dt, d, 1, rng)
-        # piecewise-linear shift with increment u_j across window j: the
-        # bridge adjustment of the zero path
-        dphi = bridge_adjust(times, np.zeros_like(incs), pos_t[:, :-1],
-                             pos_t[:, 1:], us)[:, 0]
-        logw = tilt(dt, incs, dphi)[:, 0]
-        ev, at_t = path_at(incs, pos_eval, pos_t)
-        dw = np.diff(at_t[:, 0], axis=1)
-        for j, u in enumerate(us):
-            diff = dw[:, j, :] - u
-            logw += log_heat_kernel_sq(np.sum(diff * diff, axis=-1), eps, d)
-        vals[lo:lo + t.shape[0]] = F(ev[:, 0]) * np.exp(logw)
-    fact = math.factorial(k)
-    return (float(vals.mean() / fact),
-            float(vals.std(ddof=1) / math.sqrt(n) / fact))
-
-
-def richardson_extrapolate(eps_values, estimates, stderrs):
-    """Weighted linear fit v(eps) = v0 + c eps, returning (v0, stderr(v0)).
-
-    The Gaussian smoothing shifts variance additively, so the leading bias
-    of smooth payoffs is linear in eps.  Raises DomainError when the
-    stderrs cannot weight the fit (a zero stderr, or a singular or
-    indefinite normal matrix), as happens with a few samples per rung.
-    """
-    eps_values = np.asarray(eps_values, dtype=float)
-    stderrs = np.asarray(stderrs, dtype=float)
-    A = np.column_stack([np.ones_like(eps_values), eps_values])
-    cov = np.full((2, 2), np.nan)
-    if np.all(stderrs > 0.0):
-        w = 1.0 / stderrs ** 2
-        try:
-            cov = np.linalg.inv(A.T @ (w[:, None] * A))
-        except np.linalg.LinAlgError:
-            pass
-    if not cov[0, 0] >= 0.0:
-        raise DomainError(f"degenerate Richardson fit for rung stderrs "
-                          f"{stderrs.tolist()}; raise n_per_eps")
-    coef = cov @ (A.T @ (w * np.asarray(estimates, dtype=float)))
-    return float(coef[0]), float(math.sqrt(cov[0, 0]))
+        incs = row_increments(np.diff(times, axis=1), d, 1, rng)
+        xi = rng.standard_normal((t.shape[0], k - 1, d))
+        incs = np.concatenate([incs, np.zeros(incs.shape[:3] + (k - 1,))],
+                              axis=3)
+        bridge_adjust(times, incs, pos_t[:, :-1], pos_t[:, 1:], unit)
+        ev0, share = np.split(path_at(incs, pos_eval)[0][:, 0], [d], axis=2)
+        g = np.diff(t, axis=1)[:, :, None]
+        for r, eps in enumerate(eps_ladder):
+            y = g / (g + eps) * u + np.sqrt(g * eps / (g + eps)) * xi
+            ev = ev0 + np.einsum("rej,rjd->red", share, y)
+            vals[lo:lo + t.shape[0], r] = F(ev) * np.exp(
+                _log_kernel_product(t, us, d, eps))
+    return vals
 
 
 def pairing_epsilon(F: CylinderFunctional, u_list, d, eps_ladder,
                     n_per_eps, seed):
-    """Pairing via the epsilon-approximation with Richardson extrapolation.
+    """Pairing via the epsilon-approximation, extrapolated to eps -> 0.
+
+    All rungs share one draw (:func:`_smoothed_rungs`), so ``n_per_eps``
+    is the total sample count.  Each sample's rung values are extrapolated
+    with :func:`extrapolation_weights`; the stderr of those values is added
+    in quadrature to the change of the extrapolated mean when the coarsest
+    rung is dropped (two rungs: against the finest), which covers the
+    extrapolation truncation.
 
     Returns (extrapolated EstimateWithError, per-epsilon ladder of
     (eps, value, stderr) triples).
@@ -335,15 +334,19 @@ def pairing_epsilon(F: CylinderFunctional, u_list, d, eps_ladder,
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])) \
             or any(e <= 0.0 for e in eps_ladder):
         raise ContractError("epsilon ladder must be positive and decreasing")
-    ladder = []
-    for i, eps in enumerate(eps_ladder):
-        rng = make_rng(seed, 100 + i)
-        est, se = _epsilon_single(F, us, d, eps, n_per_eps, rng)
-        ladder.append((eps, est, se))
-    v0, se0 = richardson_extrapolate(*zip(*ladder))
-    return (EstimateWithError(v0, se0, n_per_eps * len(eps_ladder),
-                              "epsilon"),
-            ladder)
+    if n_per_eps < 2:
+        raise ContractError("n_per_eps must be >= 2")
+    vals = _smoothed_rungs(F, us, d, eps_ladder, n_per_eps,
+                           make_rng(seed, 100)) / math.factorial(len(us) + 1)
+    root_n = math.sqrt(n_per_eps)
+    means = vals.mean(axis=0)
+    ladder = list(zip(eps_ladder, means.tolist(),
+                      (vals.std(axis=0, ddof=1) / root_n).tolist()))
+    extrapolated = vals @ extrapolation_weights(eps_ladder)
+    v0 = float(extrapolated.mean())
+    truncation = v0 - means[1:] @ extrapolation_weights(eps_ladder[1:])
+    se = math.hypot(extrapolated.std(ddof=1) / root_n, truncation)
+    return EstimateWithError(v0, se, n_per_eps, "epsilon"), ladder
 
 
 def cylinder_mass(eval_times, box_lo, box_hi, u_list, d, n_outer, n_inner,

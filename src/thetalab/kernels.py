@@ -38,7 +38,8 @@ def log_heat_kernel_sq(sq_norm, eps, d):
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0.0):
         raise DomainError("heat kernel variance must be positive")
-    return -0.5 * d * np.log(2.0 * np.pi * eps) - sq_norm / (2.0 * eps)
+    with np.errstate(over="ignore"):  # -inf past the double range
+        return -0.5 * d * np.log(2.0 * np.pi * eps) - sq_norm / (2.0 * eps)
 
 
 def heat_kernel(z, eps, d=None):

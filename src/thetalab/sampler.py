@@ -5,10 +5,10 @@ from 0 (equal neighbours make zero-length cells), and increments of shape
 (rows, n, n_cells, d).  :func:`union_times` builds the grids,
 :func:`row_increments` draws raw increments, :func:`bridge_adjust`
 conditions per-row windows on prescribed increments exactly (Brownian
-bridge), :func:`tilt` applies a Cameron-Martin shift with its log weight
-and :func:`path_at` gathers cumulative sums at grid columns.  The
-fixed-grid API (:class:`TimeGrid`, :func:`sample_conditioned_bm`,
-:func:`cameron_martin_weight`, ...) is the one-row case.  Streams are
+bridge) and :func:`path_at` gathers cumulative sums at grid columns.  The
+fixed-grid API (:class:`TimeGrid`, :func:`sample_conditioned_bm`, ...) is
+the one-row case; :func:`cameron_martin_weight` applies a Cameron-Martin
+shift on a fixed grid with its log weight.  Streams are
 counter-based Philox keyed by (seed, stream index), so parallel workers
 draw non-overlapping deterministic substreams; overlapping windows are
 conditioned in closed form by :class:`GaussianConditioner`.
@@ -168,24 +168,6 @@ def bridge_adjust(times, incs, lo, hi, targets):
     return incs
 
 
-def tilt(dt, incs, dphi):
-    """Shift increments in place by dphi (rows, n_cells, d); log weights.
-
-    The returned log-weight W, shape (rows, n), makes E[F(w + phi) e^W]
-    unbiased for E[F(w)] under the Wiener law:
-
-        W = -sum <dphi, dw>/dt - 0.5 sum ||dphi||^2/dt,
-
-    where a zero-length cell contributes 0.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(dt[:, :, None] > 0.0, dphi / dt[:, :, None], 0.0)
-    logw = -np.einsum("rcd,rncd->rn", ratio, incs) \
-        - 0.5 * np.einsum("rcd,rcd->r", ratio, dphi)[:, None]
-    incs += dphi[:, None]
-    return logw
-
-
 def _paths_from_increments(incs):
     vals = np.zeros(incs.shape[:-2] + (incs.shape[-2] + 1, incs.shape[-1]))
     np.cumsum(incs, axis=-2, out=vals[..., 1:, :])
@@ -301,14 +283,16 @@ def shift_on_grid(grid: TimeGrid, knots, knot_values):
 def cameron_martin_weight(grid: TimeGrid, increments, shift_values):
     """Shifted increments plus log importance weights.
 
-    ``increments`` has shape (n, n_cells, d), ``shift_values`` is the shift
-    evaluated at grid times, shape (n_times, d); ``increments`` is left
-    unchanged.  The log-weight is the one of :func:`tilt`.
+    ``increments`` has shape (n, n_cells, d) and is left unchanged;
+    ``shift_values`` is the shift phi at the grid times, (n_times, d).  The
+    log-weight W = -sum <dphi, dw>/dt - 0.5 sum ||dphi||^2/dt makes
+    E[F(w + phi) e^W] unbiased for E[F(w)] under the Wiener law.
     """
-    shifted = np.array(increments, dtype=float)[None]
     dphi = np.diff(np.asarray(shift_values, dtype=float), axis=0)
-    logw = tilt(grid.dt[None], shifted, dphi[None])
-    return shifted[0], logw[0]
+    ratio = dphi / grid.dt[:, None]
+    logw = -np.einsum("cd,ncd->n", ratio, increments) \
+        - 0.5 * np.sum(ratio * dphi)
+    return increments + dphi, logw
 
 
 def sample_correlated_pair(grid: TimeGrid, d, r, seed, n=1, stream=0):

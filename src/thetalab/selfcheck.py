@@ -136,7 +136,7 @@ def _check_estimator_duality(budget):
     n = int(math.sqrt(budget))
     bridge = estimators.pairing_bridge(F, [u], 4, n, n, seed=31)
     epsd, _ = estimators.pairing_epsilon(F, [u], 4, (0.04, 0.02, 0.01),
-                                         budget // 3, seed=32)
+                                         budget, seed=32)
     assert bridge.agrees_with(epsd, 3.0), \
         f"bridge {bridge.value} vs epsilon {epsd.value} beyond 3 sigma"
 

@@ -481,16 +481,18 @@ def _set_minimizer(set_spec, d):
 
 
 def schilder_empirical_slope(set_spec, d, t_grid, n_samples, seed,
-                             n_cells=64, ess_threshold=200.0):
+                             ess_threshold=200.0):
     """Curve of -(1/t^2) log mu(t * set) by Cameron-Martin tilting.
 
     The tilt is t times the set's energy minimizer, so the shifted cloud
     straddles the rare region; the effective sample size of the
     contributing weights is reported per point and a low value raises the
-    warning flag.
+    warning flag.  Paths are drawn on the minimizer's own knots (plus
+    t = 1): the shift is linear between knots, so the Cameron-Martin
+    weight and w(1) depend only on the knot-interval increments.
     """
-    grid = TimeGrid(np.linspace(0.0, 1.0, n_cells + 1))
     minimizer = _set_minimizer(set_spec, d)
+    grid = TimeGrid(minimizer.knots).with_times([1.0])
     rows = []
     warning = False
     for i, t in enumerate(np.asarray(t_grid, dtype=float)):

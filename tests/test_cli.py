@@ -1,13 +1,17 @@
 import json
+import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from thetalab import cli, selfcheck
 from thetalab.cli import (ConfigError, EXIT_DOMAIN, EXIT_INFEASIBLE,
-                          EXIT_OK, ExperimentConfig, config_hash,
-                          emit_config, execute, main, parse_config)
+                          EXIT_OK, EXIT_WARNING, ExperimentConfig,
+                          config_hash, emit_config, execute, main,
+                          parse_config)
+from thetalab.simplexquad import QuadratureSpec, ldp_mass_curve
 from thetalab.variational import closed_form_inf
 
 
@@ -212,6 +216,60 @@ def test_chaos_norm_reports_exact_norm_and_tail(tmp_path, capsys):
         assert main(["chaos-norm", "--config",
                      write(tmp_path, "e.json", doc)]) == EXIT_DOMAIN
         assert "|u|/sqrt(tau)" in capsys.readouterr().err
+
+
+def test_chaos_norm_subnormal_variance_exits_2_without_warning(tmp_path,
+                                                              capsys):
+    doc = {"command": "chaos-norm", "d": 2, "u": [1.0, 0.0], "s": 0.0,
+           "t": 5e-324, "gamma": -2.5, "K": 10}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["chaos-norm", "--config",
+                     write(tmp_path, "c.json", doc)]) == EXIT_DOMAIN
+    assert "domain error" in capsys.readouterr().err
+
+
+def test_ldp_slope_stderr_and_missed_target(tmp_path, capsys):
+    # plain Dirichlet Monte Carlo over four gaps at 1000 samples misses the
+    # 1e-6 quadrature target: the rows say so and --strict exits 3
+    us = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
+    doc = {"command": "ldp-slope", "d": 4, "u_list": us, "t_grid": [2, 3, 4],
+           "method": "dirichlet_mc", "n_samples": 1000, "seed": 1,
+           "format": "json"}
+    path = write(tmp_path, "s.json", doc)
+    assert main(["ldp-slope", "--config", path, "--strict"]) == EXIT_WARNING
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert main(["ldp-slope", "--config", path]) == EXIT_OK
+    curve = ldp_mass_curve(us, 4, [2, 3, 4], QuadratureSpec(
+        method="dirichlet_mc", nodes_or_samples=1000, seed=1))
+    for row, (t, y, rel) in zip(rows, curve):
+        assert rel > 0.01 and row["value"] == y
+        assert row["stderr"] == pytest.approx(math.log1p(rel) / t ** 2)
+    doc.update(u_list=us[:1], method="tensor_gauss", t_grid=[4, 8, 12])
+    assert main(["ldp-slope", "--config", write(tmp_path, "g.json", doc),
+                 "--strict"]) == EXIT_OK
+
+
+def test_schilder_cli_rows_and_ignored_n_cells(tmp_path, capsys):
+    doc = {"command": "schilder", "d": 2, "seed": 4, "format": "json",
+           "set": {"type": "halfspace", "a": 1.0},
+           "t_grid": [1.0, 2.0, 3.0], "n_samples": 2000}
+    outs = []
+    for extra in ({}, {"n_cells": 8}):
+        path = write(tmp_path, "s.json", dict(doc, **extra))
+        assert main(["schilder", "--config", path]) == EXIT_OK
+        outs.append(json.loads(capsys.readouterr().out)["rows"])
+    assert outs[0] == outs[1]       # n_cells is accepted and ignored
+    # a set that no sample reaches has no estimate: null, and a warning
+    doc.update(n_samples=2, seed=0)  # both samples miss {w_1(1) >= 1}
+    path = write(tmp_path, "r.json", doc)
+    assert main(["schilder", "--config", path, "--strict"]) == EXIT_WARNING
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[0]["value"] is None and rows[0]["stderr"] is None
+    doc["set"]["coord"] = 2
+    assert main(["schilder", "--config",
+                 write(tmp_path, "c.json", doc)]) == EXIT_DOMAIN
+    assert "set.coord" in capsys.readouterr().err
 
 
 PAIRING = {"command": "pairing", "d": 4, "u_list": [[1.0, 0.0, 0.0, 0.0]],

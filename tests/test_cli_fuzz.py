@@ -1,8 +1,8 @@
 """Property-based fuzzing of the CLI: configs in, exit codes and numbers out.
 
 ``parse_config`` must turn any document into an ExperimentConfig or a
-ConfigError, and ``execute`` of the Monte Carlo commands ``pairing`` and
-``eta``, of the quadrature commands ``mass`` and ``ldp-slope`` (tensor
+ConfigError, and ``execute`` of the Monte Carlo commands ``pairing``,
+``eta`` and ``schilder``, of the quadrature commands ``mass`` and ``ldp-slope`` (tensor
 Gauss-Legendre, up to three gaps) and of ``chaos-norm`` must return an exit
 code in {0, 2, 3, 4} and emit only finite numbers.  Budgets are capped so
 that each example runs in milliseconds; a three-gap ``ldp-slope`` takes up
@@ -127,8 +127,14 @@ def fields(command, d):
         "asymptotic-scan": {"d": st.just(d), "f": weights(),
                             "u_norms": ordered(0.1, 2.0, 2, reverse=True)},
         "schilder": {"d": st.just(d),
-                     "set": st.sampled_from([{"type": "full"},
-                                             {"type": "halfspace", "a": 1.0}]),
+                     "set": st.one_of(
+                         st.just({"type": "full"}),
+                         st.fixed_dictionaries(
+                             {"type": st.just("halfspace"), "a": nums},
+                             optional={"coord": st.integers(0, 5)}),
+                         st.fixed_dictionaries(
+                             {"type": st.just("box_at_one"), "lo": vec(d),
+                              "hi": vec(d)})),
                      "t_grid": ordered(1.0, 5.0, 3),
                      "n_samples": st.integers(2, 64),
                      "n_cells": st.integers(2, 8)},
@@ -219,6 +225,12 @@ def test_execute_monte_carlo_exit_codes_and_finite_output(doc):
 def test_execute_quadrature_exit_codes_and_finite_output(doc):
     if doc["command"] == "ldp-slope":
         doc["method"] = "tensor_gauss"
+    check_execute(doc)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(documents(commands=("schilder",), always=("n_samples",)))
+def test_execute_schilder_exit_codes_and_finite_output(doc):
     check_execute(doc)
 
 

@@ -11,10 +11,11 @@ from thetalab.estimators import (EstimateWithError, WeightFunction,
                                  cylinder_mass, eta_mass_scan,
                                  eta_pairing_correlated,
                                  eta_pairing_correlated_direct,
-                                 eta_pairing_independent, gaussian_bump,
+                                 eta_pairing_independent,
+                                 extrapolation_weights, gaussian_bump,
                                  make_payoff, pairing_bridge,
                                  pairing_epsilon, polynomial_clipped,
-                                 richardson_extrapolate, support_check)
+                                 support_check)
 from thetalab.kernels import heat_kernel
 from thetalab.sampler import (GaussianConditioner, TimeGrid,
                               sample_conditioned_bm)
@@ -124,13 +125,16 @@ def test_bridge_gaussian_bump_conditional_oracle():
 
 
 def test_epsilon_rung_semigroup_oracle():
-    # per-eps value equals the eps-shifted simplex integral
+    # per-eps value equals the eps-shifted simplex integral, and the
+    # extrapolated value the unshifted one
     F = constant_one()
-    _, ladder = pairing_epsilon(F, [U4], 4, (0.08, 0.04), 150000, seed=24)
-    for eps, val, se in ladder:
-        want = gap_reduced_integral(
-            SimplexIntegrand(4, (U4,), eps_shift=eps)).value
-        assert abs(val - want) <= 3.0 * se
+    for us, rungs, n in (((U4,), (0.08, 0.04), 150000),
+                         ((U4, U4), (0.04, 0.02, 0.01), 100000)):
+        est, ladder = pairing_epsilon(F, us, 4, rungs, n, seed=24)
+        for eps, val, se in ladder + [(0.0, est.value, est.stderr)]:
+            want = gap_reduced_integral(
+                SimplexIntegrand(4, us, eps_shift=eps)).value
+            assert abs(val - want) <= 3.0 * se
 
 
 def test_epsilon_ladder_contract():
@@ -154,6 +158,16 @@ def test_duality_small_budget():
     b = pairing_bridge(F, [U4], 4, 4000, 16, seed=25)
     e, _ = pairing_epsilon(F, [U4], 4, (0.04, 0.02, 0.01), 60000, seed=26)
     assert b.agrees_with(e)
+
+
+def test_duality_k3_over_seeds():
+    # the epsilon route's error covers bridge at k=3 on every seed
+    F = gaussian_bump((1.0,), np.zeros(4))
+    for seed in range(20):
+        b = pairing_bridge(F, [U4, U4], 4, 2000, 8, seed=1000 + seed)
+        e, _ = pairing_epsilon(F, [U4, U4], 4, (0.04, 0.02, 0.01), 20000,
+                               seed=2000 + seed)
+        assert b.agrees_with(e), (seed, b, e)
 
 
 def test_pairing_linearity():
@@ -282,11 +296,18 @@ def test_eta_correlated_vs_direct_small():
     assert a.agrees_with(b)
 
 
-def test_richardson_recovers_linear_model():
-    eps = [0.04, 0.02, 0.01]
-    vals = [1.0 + 3.0 * e for e in eps]
-    v0, se = richardson_extrapolate(eps, vals, [1e-3] * 3)
-    assert v0 == pytest.approx(1.0, abs=1e-10)
+def test_extrapolation_weights_recover_polynomials():
+    assert extrapolation_weights([0.04, 0.02, 0.01]) \
+        == pytest.approx([1 / 3, -2.0, 8 / 3], rel=1e-12)
+    assert extrapolation_weights([0.3]) == pytest.approx([1.0])
+    rng = np.random.default_rng(41)
+    for eps in ([0.04, 0.02, 0.01], [0.08, 0.04], [0.1, 0.05, 0.02, 0.01]):
+        w = extrapolation_weights(eps)
+        linear = [1.0 + 3.0 * e for e in eps]
+        assert w @ linear == pytest.approx(1.0, abs=1e-10)
+        coef = rng.standard_normal(len(eps))  # degree len(eps) - 1
+        assert w @ np.polyval(coef, eps) \
+            == pytest.approx(coef[-1], abs=1e-10)
 
 
 def test_eta_mass_scan_properties():

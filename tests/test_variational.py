@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from thetalab.errors import ContractError, InfeasibleError
 from thetalab.variational import (BoxConstraint, ConstraintProgram,
@@ -182,11 +183,13 @@ def test_schilder_full_space_is_zero():
 
 
 def test_schilder_halfspace_curve():
+    # mu(w_1(1) >= t) = Phi(-t) exactly, so each row has a closed form
     rows, warning = schilder_empirical_slope(
-        halfspace_set(1.0), 2, [3.0, 5.0], 20000, seed=2)
+        halfspace_set(1.0), 2, [3.0, 4.0, 5.0, 6.0, 8.0], 20000, seed=2)
     for t, y, se, ess in rows:
         assert y > 0.5           # prefactor bias is from above
         assert ess > 1000
+        assert abs(y + log_ndtr(-t) / t ** 2) <= 3.0 * se
     assert not warning
 
 
