@@ -22,10 +22,9 @@ _LOG_MAX = float(np.log(np.finfo(float).max))
 
 @dataclass(frozen=True)
 class ChaosSpectrum:
-    """Nonnegative sequence a_k = E[I_k^2] with truncation metadata."""
+    """Nonnegative sequence a_k = E[I_k^2], k = 0..K."""
 
     levels: np.ndarray
-    tail_bound: float | None = None
 
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=float)
@@ -40,14 +39,12 @@ class ChaosSpectrum:
         return self.levels.size - 1
 
     def to_json(self):
-        return json.dumps({"levels": self.levels.tolist(),
-                           "tail_bound": self.tail_bound})
+        return json.dumps({"levels": self.levels.tolist()})
 
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
-        return cls(np.asarray(obj["levels"], dtype=float),
-                   obj.get("tail_bound"))
+        return cls(np.asarray(obj["levels"], dtype=float))
 
 
 @dataclass(frozen=True)

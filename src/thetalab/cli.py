@@ -330,6 +330,8 @@ SCHEMAS = {
         "increments": (_v_increments, False),
         "boxes": (_v_boxes, False),
         "n_extra_knots": (_v_int(lo=0), False),
+        # ignored: box programs have no random restarts any more; accepted
+        # for one more release so that existing configs still parse
         "n_restarts": (_v_int(lo=1), False),
     },
     "asymptotic-scan": {
@@ -550,7 +552,6 @@ def _run_chaos_norm(p, seed):
 
 
 def _run_rate_min(p, seed):
-    incs = tuple((lo, hi, u) for lo, hi, u in p.get("increments", []))
     def side(b, name, fill):
         if b.get(name) is None:
             return None
@@ -559,16 +560,12 @@ def _run_rate_min(p, seed):
     boxes = tuple(BoxConstraint(b["time"], side(b, "lo", -math.inf),
                                 side(b, "hi", math.inf))
                   for b in p.get("boxes", []))
-    prog = ConstraintProgram(increments=incs, boxes=boxes)
+    prog = ConstraintProgram(increments=p.get("increments", ()), boxes=boxes)
     path, value, diag = minimize_energy(
-        prog, n_extra_knots=p.get("n_extra_knots", 0),
-        n_restarts=p.get("n_restarts", 5), seed=seed or 0)
+        prog, n_extra_knots=p.get("n_extra_knots", 0))
     cols = ("time",) + tuple(f"x_{j + 1}" for j in range(path.d))
-    rows = []
-    for t, v in zip(path.knots, path.values):
-        row = {"time": float(t)}
-        row.update({f"x_{j + 1}": float(v[j]) for j in range(path.d)})
-        rows.append(row)
+    rows = [dict(zip(cols, map(float, (t, *v))))
+            for t, v in zip(path.knots, path.values)]
     meta = {"value": value, "converged": diag["converged"],
             "outer_iterations": diag["outer_iterations"]}
     return meta, cols, rows, not diag["converged"]

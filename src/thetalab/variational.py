@@ -8,9 +8,10 @@ on piecewise-linear paths.  ``minimize_energy`` takes one of two routes:
   gaps g_j = t_{j+1} - t_j.  Each maximal run of free times between two
   fixed ones (0 and 1 count as fixed) is a small convex program in its
   gaps, solved once by SLSQP with the analytic gradient.
-* With box constraints.  An inner convex quadratic program in the knot
-  values (SLSQP over the path Laplacian) and an outer coordinate-descent
-  search over the free chain times, with random restarts.
+* With box constraints.  An inner convex QP in the knot values (SLSQP
+  over the path Laplacian).  With the order of the free chain times among
+  the box times fixed, its value is convex in the times (a perspective
+  function): each order is one SLSQP solve, and the best order wins.
 
 Between active constraints minimizers are linear, so the piecewise-linear
 ansatz is exact on both routes.
@@ -18,12 +19,12 @@ ansatz is exact on both routes.
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
-from .errors import ContractError, DomainError, InfeasibleError
-from .kernels import log_heat_kernel
+from .errors import ContractError, InfeasibleError
 from .sampler import (TimeGrid, cameron_martin_weight, make_rng,
                       sample_bm_increments, shift_on_grid)
 
@@ -198,7 +199,9 @@ def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
     """Inner minimization over knot values at fixed chain times, with boxes.
 
     A convex QP in the knot values, solved by SLSQP.  Returns
-    (value, knots, values) or raises InfeasibleError.
+    (value, path, mu) or raises InfeasibleError; mu[j] is the KKT
+    multiplier of the target u_j (zero for a zero target over a
+    zero-length interval, which holds and is dropped).
     """
     knots = _merge_knots([0.0, 1.0, *chain_times,
                           *(b.time for b in boxes), *extra_knots])
@@ -207,83 +210,70 @@ def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
     def idx_of(t):
         return int(np.abs(knots - float(t)).argmin())
 
-    chain_idx = [idx_of(t) for t in chain_times]
+    idx = np.array([idx_of(t) for t in chain_times], dtype=int)
 
     # quadratic form on free values: E = 0.5 x^T Q x (per coordinate)
     dt = np.diff(knots)
-    m = knots.size
-    L = np.zeros((m, m))
-    for c in range(m - 1):
-        w = 1.0 / dt[c]
-        L[c, c] += w
-        L[c + 1, c + 1] += w
-        L[c, c + 1] -= w
-        L[c + 1, c] -= w
-    Q = L[1:, 1:]
+    w = 1.0 / dt
+    Q = (np.diag(np.r_[w, 0.0] + np.r_[0.0, w]) - np.diag(w, 1)
+         - np.diag(w, -1))[1:, 1:]
 
     # equality constraints: phi(t_{j+1}) - phi(t_j) = u_j
-    n_eq = len(u_list)
-    A = np.zeros((n_eq, n_free))
-    U = np.zeros((n_eq, d))
-    for j, u in enumerate(u_list):
-        i_lo, i_hi = chain_idx[j], chain_idx[j + 1]
-        if i_hi == i_lo:
-            raise InfeasibleError(
-                "increment constrained over a zero-length interval",
-                certificate=(i_lo, u))
-        if i_lo > 0:
-            A[j, i_lo - 1] -= 1.0
-        A[j, i_hi - 1] += 1.0
-        U[j] = u
+    U = np.array(u_list, dtype=float).reshape(-1, d)
+    moves = idx[1:] != idx[:-1]
+    if np.any(U[~moves] != 0.0):
+        raise InfeasibleError("increment constrained over a zero-length "
+                              "interval", certificate=np.flatnonzero(~moves))
+    E = np.eye(knots.size)[:, 1:]
+    A = E[idx[1:][moves]] - E[idx[:-1][moves]]
 
-    lo = np.full((n_free, d), -np.inf)
-    hi = np.full((n_free, d), np.inf)
+    lo = np.full((knots.size, d), -np.inf)
+    hi = np.full((knots.size, d), np.inf)
     for b in boxes:
         i = idx_of(b.time)
-        if i == 0:
-            # phi(0) = 0 is pinned; a box there either holds or is infeasible
-            blo = -np.inf if b.lo is None else np.max(np.asarray(b.lo))
-            bhi = np.inf if b.hi is None else np.min(np.asarray(b.hi))
-            if blo > 0.0 or bhi < 0.0:
-                raise InfeasibleError("box at time 0 excludes the origin",
-                                      certificate=(0.0, b))
-            continue
         if b.lo is not None:
-            lo[i - 1] = np.maximum(lo[i - 1], np.asarray(b.lo, dtype=float))
+            lo[i] = np.maximum(lo[i], np.asarray(b.lo, dtype=float))
         if b.hi is not None:
-            hi[i - 1] = np.minimum(hi[i - 1], np.asarray(b.hi, dtype=float))
-    if np.any(lo > hi):
-        raise InfeasibleError("empty box constraint",
-                              certificate=(lo, hi))
+            hi[i] = np.minimum(hi[i], np.asarray(b.hi, dtype=float))
+    # phi(0) = 0 is pinned: a box there holds or excludes the origin
+    if np.any(lo > hi) or np.any(lo[0] > 0.0) or np.any(hi[0] < 0.0):
+        raise InfeasibleError("empty box constraint, or a box at time 0 "
+                              "excludes the origin", certificate=(lo, hi))
+    lo[0] = hi[0] = 0.0
+    # the chain knots move together, phi(t_j) = phi(t_1) + S_j, so the
+    # knot values are feasible iff some phi(t_1) meets every chain box
+    S = np.cumsum([np.zeros(d), *U], axis=0)
+    gap = np.max(lo[idx] - S, axis=0, initial=-np.inf) \
+        - np.min(hi[idx] - S, axis=0, initial=np.inf)
+    if np.any(gap > _FEAS_TOL):
+        raise InfeasibleError("no feasible knot values",
+                              certificate=float(gap.max()))
+    lo, hi, U = lo[1:], hi[1:], U[moves]
 
     def objective(xflat):
         x = xflat.reshape(n_free, d)
-        val = 0.5 * float(np.einsum("id,ij,jd->", x, Q, x))
-        grad = (Q @ x).ravel()
-        return val, grad
+        return 0.5 * float(np.einsum("id,ij,jd->", x, Q, x)), (Q @ x).ravel()
 
-    x0 = np.linspace(0.0, 1.0, n_free)[:, None] * np.zeros((1, d))
     cons = [{"type": "eq",
-             "fun": lambda xf: (A @ xf.reshape(n_free, d)
-                                - U).ravel(),
+             "fun": lambda xf: (A @ xf.reshape(n_free, d) - U).ravel(),
              "jac": lambda xf: np.kron(A, np.eye(d))}]
-    bounds = list(zip(lo.ravel(), hi.ravel()))
-    res = minimize(objective, x0.ravel(), jac=True, bounds=bounds,
+    res = minimize(objective, np.zeros(n_free * d), jac=True,
+                   bounds=list(zip(lo.ravel(), hi.ravel())),
                    constraints=cons, method="SLSQP",
                    options={"maxiter": 400, "ftol": 1e-14})
     x = res.x.reshape(n_free, d)
-    eq_res = np.abs(A @ x - U).max() if n_eq else 0.0
-    box_res = max(np.clip(lo - x, 0.0, None).max(),
-                  np.clip(x - hi, 0.0, None).max())
-    if eq_res > _FEAS_TOL or box_res > _FEAS_TOL:
-        j = int(np.abs(A @ x - U).max(axis=1).argmax()) if n_eq else -1
-        raise InfeasibleError(
-            f"no feasible knot values (residual {max(eq_res, box_res):.3g})",
-            certificate=("increment", j) if eq_res >= box_res
-            else ("box", float(box_res)))
-    vals = np.vstack([np.zeros(d), x])
-    value = 0.5 * float(np.einsum("id,ij,jd->", x, Q, x))
-    return value, knots, vals
+    residual = max(np.abs(A @ x - U).max(initial=0.0),
+                   np.max(lo - x), np.max(x - hi))
+    if residual > _FEAS_TOL:
+        raise InfeasibleError(f"no feasible knot values (residual "
+                              f"{residual:.3g})", certificate=residual)
+    mu = np.zeros((len(u_list), d))
+    # absent when the bounds fix every value
+    mu[moves] = res.get("multipliers", np.zeros(U.size)).reshape(U.shape)
+    path = PiecewiseLinearPath(knots, np.vstack([np.zeros(d), x]))
+    # summed per cell, not as x^T Q x, whose large entries from a short
+    # cell lose digits to cancellation
+    return path_energy(path), path, mu
 
 
 def _chain_time_slots(prog: ConstraintProgram):
@@ -303,112 +293,127 @@ def _chain_time_slots(prog: ConstraintProgram):
     return slots
 
 
-def minimize_energy(prog: ConstraintProgram, n_extra_knots=0, tol=1e-8,
-                    n_restarts=5, seed=0, max_sweeps=200):
+def _orders(slots, boxes):
+    """Every order of the free chain times among the box times.
+
+    A run of free slots between fixed chain times (0 and 1 count as fixed)
+    is cut into closed cells by the box times inside it.  Yields one cell
+    (lo, hi) per free slot, never decreasing along a run; nothing when the
+    fixed times decrease.
+    """
+    times = [0.0, *slots, 1.0]
+    anchors = [i for i, t in enumerate(times) if t is not None]
+    box_times = sorted({float(b.time) for b in boxes})
+    runs = []
+    for lo, hi in zip(anchors, anchors[1:]):
+        a, b = times[lo], times[hi]
+        if b < a:
+            return
+        edges = [a, *(t for t in box_times if a < t < b), b]
+        cells = [(x, y) for x, y in zip(edges, edges[1:]) if y > x]
+        runs.append(combinations_with_replacement(cells, hi - lo - 1))
+    for parts in product(*runs):
+        yield sum(parts, ())
+
+
+def _solve_order(cells, slots, u_list, boxes, d, extra):
+    """One convex SLSQP solve over the free chain times, slot i in cells[i].
+
+    With the order fixed, the inner value V(t) is convex: the energy is a
+    perspective function, and minimising out the knot values keeps it so.
+    By the envelope theorem dV/dt_i = (|v_right|^2 - |v_left|^2) / 2, v the
+    inner minimiser's velocity next to t_i.  A cell opening at a cell edge
+    takes the chain knot's own velocity, from its stationarity v_left -
+    v_right = mu_{i-1} - mu_i; one opening between chain times on one knot
+    (a zero target) has none.  Returns (result, chain times at its x); the
+    value is infinite when the order is infeasible.
+    """
+    free = [i for i, t in enumerate(slots) if t is None]
+    # inside the cells, increasing where slots share one
+    x0 = [lo + (hi - lo) * (n + 1) / (len(free) + 1)
+          for n, (lo, hi) in enumerate(cells)]
+
+    def place(x):
+        # SLSQP may step a free time below its predecessor: raise it
+        chain = np.array(slots, dtype=float)
+        chain[free] = x
+        return np.maximum.accumulate(chain)
+
+    def energy(x):
+        chain = place(x)
+        try:
+            val, path, mu = _energy_given_times(chain, u_list, boxes, d,
+                                                extra_knots=extra)
+        except InfeasibleError:
+            return math.inf, np.zeros(x.size)
+        # v[k] and v[k + 1] are the velocities left and right of knot k;
+        # mu[i] ends at chain slot i and mu[i + 1] starts there
+        v = np.vstack([np.zeros(d), np.diff(path.values, axis=0)
+                       / np.diff(path.knots)[:, None], np.zeros(d)])
+        mu = np.vstack([np.zeros(d), mu, np.zeros(d)])
+        k = np.abs(path.knots[None, :] - chain[:, None]).argmin(axis=1)
+        grad = np.empty(x.size)
+        for n, (i, (lo, hi)) in enumerate(zip(free, cells)):
+            # slots f..l share knot k[i] (the chain times never decrease)
+            f = np.searchsorted(k, k[i])
+            l = np.searchsorted(k, k[i], side="right") - 1
+            left = v[k[i]] if i == f else np.zeros(d)
+            right = v[k[i] + 1] if i == l else np.zeros(d)
+            if i == f and chain[i] - lo <= _MERGE_TOL:
+                left = v[k[i] + 1] + mu[f] - mu[l + 1]
+            if i == l and hi - chain[i] <= _MERGE_TOL:
+                right = v[k[i]] - mu[f] + mu[l + 1]
+            grad[n] = 0.5 * float(right @ right - left @ left)
+        return val, grad
+
+    D = np.diff(np.eye(len(free)), axis=0)  # chain order t_i <= t_{i+1}
+    res = minimize(energy, x0, jac=True, method="SLSQP", bounds=cells,
+                   constraints=[{"type": "ineq", "fun": lambda x: D @ x,
+                                 "jac": lambda x: D}],
+                   options={"maxiter": 400, "ftol": 1e-15})
+    return res, place(res.x)
+
+
+def minimize_energy(prog: ConstraintProgram, n_extra_knots=0,
+                    n_restarts=None):
     """Minimal energy over paths meeting the program's constraints.
 
     Programs without boxes are solved in their gap variables: a free t_1
     goes to 0, a free t_k to 1, and each run of free chain times between
     fixed ones is one SLSQP solve with the analytic gradient; the value is
     (1/2) sum ||u_j||^2 / g_j at the solved times.  Programs with boxes
-    solve a convex QP in the knot values at fixed chain times and search
-    the free times by coordinate descent with a bounded line search, a
-    simplex polish and ``n_restarts`` random starts drawn from ``seed``;
-    ``tol``, ``n_restarts``, ``seed`` and ``max_sweeps`` act only there.
-    ``n_extra_knots`` evenly spaced knots are added to the returned path.
-    Returns (PiecewiseLinearPath, value, diagnostics) where diagnostics
-    holds ``outer_iterations`` (SLSQP iterations, or coordinate-descent
-    sweeps with boxes) and ``converged``.
+    solve a convex QP in the knot values at given chain times; each order
+    of the free times among the box times is one convex SLSQP solve over
+    those times (``_solve_order``), and the best order gives the value.
+    ``n_extra_knots`` evenly spaced knots are added to the returned path;
+    ``n_restarts`` is ignored, accepted for one more release.  Returns
+    (PiecewiseLinearPath, value, diagnostics): ``outer_iterations`` (SLSQP
+    iterations, summed over feasible orders) and ``converged`` (best order's).
     """
     slots = _chain_time_slots(prog)
     u_list = prog.u_list
-    extra = tuple(np.linspace(0.0, 1.0, n_extra_knots + 2)[1:-1]) \
-        if n_extra_knots else ()
+    extra = tuple(np.linspace(0.0, 1.0, n_extra_knots + 2)[1:-1])
+    sides = [np.atleast_1d(side) for b in prog.boxes for side in (b.lo, b.hi)
+             if side is not None]
+    if not u_list and not sides:
+        raise ContractError("cannot infer dimension from an empty program")
     if not prog.boxes:
-        if not u_list:
-            raise ContractError("cannot infer dimension from an empty program")
         return _minimize_increments(slots, u_list, extra)
-    free = [i for i, s in enumerate(slots) if s is None]
-    rng = make_rng(seed, 7)
-
-    def inner(times_vec):
-        chain = list(slots)
-        for i, v in zip(free, times_vec):
-            chain[i] = float(v)
-        chain_arr = np.asarray(chain, dtype=float)
-        if np.any(np.diff(chain_arr) < -1e-12) or np.any(chain_arr < 0) \
-                or np.any(chain_arr > 1):
-            return math.inf, None, None
-        # collapse near-equal times to avoid singular cells
-        chain_arr = np.clip(chain_arr, 0.0, 1.0)
-        try:
-            return _energy_given_times(chain_arr, u_list, prog.boxes,
-                                       u_list[0].size if u_list else
-                                       _prog_dim(prog), extra_knots=extra)
-        except InfeasibleError:
-            return math.inf, None, None
-
-    if not free:
-        val, knots, vals = _energy_given_times(
-            [s for s in slots], u_list, prog.boxes,
-            u_list[0].size if u_list else _prog_dim(prog), extra_knots=extra)
-        return (PiecewiseLinearPath(knots, vals), val,
-                {"outer_iterations": 0, "converged": True})
-
-    best = (math.inf, None)
-    n_sweep_total = 0
-    for restart in range(max(1, n_restarts)):
-        if restart == 0:
-            x = np.sort(np.linspace(0.0, 1.0, len(free) + 2)[1:-1])
-        else:
-            x = np.sort(rng.random(len(free)))
-        fx = inner(x)[0]
-        for sweep in range(max_sweeps):
-            improved = 0.0
-            for i in range(len(free)):
-                lo = x[i - 1] if i > 0 else 0.0
-                hi = x[i + 1] if i + 1 < len(free) else 1.0
-
-                def along(v):
-                    y = x.copy()
-                    y[i] = v
-                    return inner(y)[0]
-
-                res = minimize_scalar(along, bounds=(lo, hi),
-                                      method="bounded",
-                                      options={"xatol": 1e-10})
-                if res.fun < fx:
-                    improved += fx - res.fun
-                    fx = res.fun
-                    x[i] = res.x
-            n_sweep_total += 1
-            if improved < tol * 1e-3:
-                break
-        # simplex polish over all free times at once
-        res = minimize(lambda y: inner(np.sort(y))[0], x,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": tol * 1e-4,
-                                "maxiter": 2000})
-        if res.fun < fx:
-            fx, x = res.fun, np.sort(res.x)
-        if fx < best[0]:
-            best = (fx, x.copy())
-
-    if not math.isfinite(best[0]):
-        raise InfeasibleError("no feasible chain times found",
-                              certificate=tuple(slots))
-    val, knots, vals = inner(best[1])
-    converged = n_sweep_total < max_sweeps * max(1, n_restarts)
-    return (PiecewiseLinearPath(knots, vals), val,
-            {"outer_iterations": n_sweep_total, "converged": converged})
-
-
-def _prog_dim(prog: ConstraintProgram):
-    for b in prog.boxes:
-        for side in (b.lo, b.hi):
-            if side is not None:
-                return np.atleast_1d(np.asarray(side, dtype=float)).size
-    raise ContractError("cannot infer dimension from an empty program")
+    d = u_list[0].size if u_list else sides[0].size
+    chain, diag = slots, {"outer_iterations": 0, "converged": True}
+    if None in slots:
+        solves = [_solve_order(cells, slots, u_list, prog.boxes, d, extra)
+                  for cells in _orders(slots, prog.boxes)]
+        solves = [(res, ch) for res, ch in solves if math.isfinite(res.fun)]
+        if not solves:
+            raise InfeasibleError("no order of the free chain times is "
+                                  "feasible", certificate=tuple(slots))
+        res, chain = min(solves, key=lambda rc: rc[0].fun)
+        diag = {"outer_iterations": sum(int(r.nit) for r, _ in solves),
+                "converged": bool(res.success)}
+    val, path, _ = _energy_given_times(chain, u_list, prog.boxes, d,
+                                       extra_knots=extra)
+    return path, val, diag
 
 
 def ldp_slope_fit(curve):

@@ -38,10 +38,9 @@ def test_spectrum_validation():
 
 
 def test_spectrum_json_round_trip():
-    sp = ChaosSpectrum(np.array([0.5, 0.0, 2.25]), tail_bound=1e-4)
+    sp = ChaosSpectrum(np.array([0.5, 0.0, 2.25]))
     back = ChaosSpectrum.from_json(sp.to_json())
     assert np.array_equal(back.levels, sp.levels)
-    assert back.tail_bound == sp.tail_bound
 
 
 def test_sobolev_norm_frozen_oracle():

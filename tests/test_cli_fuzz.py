@@ -2,8 +2,9 @@
 
 ``parse_config`` must turn any document into an ExperimentConfig or a
 ConfigError, and ``execute`` of the Monte Carlo commands ``pairing``,
-``eta`` and ``schilder``, of the quadrature commands ``mass`` and ``ldp-slope`` (tensor
-Gauss-Legendre, up to three gaps) and of ``chaos-norm`` must return an exit
+``eta`` and ``schilder``, of the quadrature commands ``mass`` and
+``ldp-slope`` (tensor Gauss-Legendre, up to three gaps), of ``chaos-norm``
+and of ``rate-min`` (free chain times among boxes) must return an exit
 code in {0, 2, 3, 4} and emit only finite numbers.  Budgets are capped so
 that each example runs in milliseconds; a three-gap ``ldp-slope`` takes up
 to about a second.
@@ -117,7 +118,8 @@ def fields(command, d):
                        "K": st.integers(0, 20)},
         "rate-min": {"d": st.just(d),
                      "increments": st.lists(st.tuples(
-                         st.floats(0.0, 0.5), st.floats(0.5, 1.0), vec(d))
+                         st.none() | st.floats(0.0, 0.5),
+                         st.none() | st.floats(0.5, 1.0), vec(d))
                          .map(list), max_size=2),
                      "boxes": st.lists(st.fixed_dictionaries(
                          {"time": st.floats(0.0, 1.0)},
@@ -231,6 +233,12 @@ def test_execute_quadrature_exit_codes_and_finite_output(doc):
 @settings(SETTINGS, max_examples=100)
 @given(documents(commands=("schilder",), always=("n_samples",)))
 def test_execute_schilder_exit_codes_and_finite_output(doc):
+    check_execute(doc)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(documents(commands=("rate-min",), always=("increments", "boxes")))
+def test_execute_rate_min_exit_codes_and_finite_output(doc):
     check_execute(doc)
 
 

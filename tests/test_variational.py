@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
 from thetalab.errors import ContractError, InfeasibleError
@@ -138,6 +139,98 @@ def test_box_infeasible_certificates():
             (0.5, None, u), (None, 0.5, u))))
 
 
+def _halfspace_at_one(d, coord, a):
+    lo = np.full(d, -math.inf)
+    lo[coord] = a
+    return BoxConstraint(1.0, lo=lo)
+
+
+@pytest.mark.parametrize("d, targets, coord, a", [
+    (2, [[1, 0]], 1, 0.5),
+    (4, [[1, 0, 0, 0], [1, 0, 0, 0]], 1, 1.0),
+    (4, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]], 2, 0.7),
+    (3, [[1, 0, 0], [0, 0, 0], [0, 1, 0]], 2, 0.5),
+])
+def test_box_program_halfspace_closed_form(d, targets, coord, a):
+    # free targets orthogonal to the normal of w(1)_coord >= a: the climb a
+    # is one more straight leg, so the value is closed_form_inf of the
+    # targets and a e_coord, (sum |u_j| + a)^2 / 2 (1.125, 4.5, 6.845, 3.125)
+    us = [np.array(u, dtype=float) for u in targets]
+    prog = ConstraintProgram(increments=tuple((None, None, u) for u in us),
+                             boxes=(_halfspace_at_one(d, coord, a),))
+    path, val, diag = minimize_energy(prog)
+    assert val == pytest.approx(closed_form_inf([*us, a * np.eye(d)[coord]]),
+                                rel=1e-9)
+    assert diag["converged"]
+    assert path_energy(path) == pytest.approx(val, rel=1e-12)
+    assert path.values[-1, coord] >= a - 1e-8
+
+
+def test_box_program_interior_box():
+    # e1 then e2 with w(0.5)_2 >= 0.8: e1 and 0.8 of e2 by t = 0.5, the rest
+    # of e2 after, gives (1.8^2 + 0.2^2) / (2 * 0.5) = 3.28
+    e1, e2 = np.eye(2)
+    prog = ConstraintProgram(increments=((None, None, e1), (None, None, e2)),
+                             boxes=(BoxConstraint(0.5, lo=[-math.inf, 0.8]),))
+    path, val, _ = minimize_energy(prog)
+    assert val <= 3.28 + 1e-9
+    assert path_energy(path) == pytest.approx(val, rel=1e-12)
+    assert np.interp(0.5, path.knots, path.values[:, 1]) >= 0.8 - 1e-8
+
+
+def test_box_program_fixed_and_free_times_oracle():
+    # t_1 = 0.1 fixed, e1 on (0.1, t_2), e2 on (t_2, t_3), w(0.3)_1 <= 0.2,
+    # w(0.7)_2 >= 1.5.  Both free times fall in (0.3, 0.7), both boxes are
+    # active: w_1 is a at t_1, 0.2 at 0.3 and a + 1 at t_2; w_2 is c up to
+    # t_2, c + 1 at t_3 and 1.5 at 0.7, so once c is minimised out its legs
+    # 0.5 and 1 share (t_2, 0.8).  One free time t_2 is left.
+    def spread(legs):
+        # min over a of sum (a - m)^2 / w
+        wsum = sum(1.0 / w for _, w in legs)
+        a = sum(m / w for m, w in legs) / wsum
+        return sum((a - m) ** 2 / w for m, w in legs)
+
+    oracle = minimize_scalar(
+        lambda t: 0.5 * (spread([(0.0, 0.1), (0.2, 0.2), (-0.8, t - 0.3)])
+                         + 1.5 ** 2 / (0.8 - t)),
+        bounds=(0.3, 0.7), method="bounded", options={"xatol": 1e-12}).fun
+    e1, e2 = np.eye(2)
+    prog = ConstraintProgram(
+        increments=((0.1, None, e1), (None, None, e2)),
+        boxes=(BoxConstraint(0.3, hi=[0.2, math.inf]),
+               BoxConstraint(0.7, lo=[-math.inf, 1.5])))
+    path, val, diag = minimize_energy(prog)
+    assert val == pytest.approx(oracle, rel=1e-9)
+    assert path_energy(path) == pytest.approx(val, rel=1e-12)
+    assert diag["converged"]
+
+
+def test_box_program_zero_target_meets_interior_box():
+    # e1, 0, e2 with w(0.5)_3 >= 0.5: the zero target takes no time and the
+    # climb to 0.5 straddles t_1 inside e1's window.  With a_1, q_1 the first
+    # coordinate at t_1 and 0.5, c the third at t_1, the value
+    # ((a_1^2 + c^2)/t_1 + ((q_1 - a_1)^2 + (0.5 - c)^2)/(0.5 - t_1)
+    #  + ((a_1 + 1 - q_1)^2 + (c - 0.5)^2)/(t_2 - 0.5) + 1/(1 - t_2)) / 2
+    # minimised over (a_1, q_1, c, t_1, t_2) is 2.900885125514633
+    e1, e2, _ = np.eye(3)
+    prog = ConstraintProgram(
+        increments=((None, None, e1), (None, None, np.zeros(3)),
+                    (None, None, e2)),
+        boxes=(BoxConstraint(0.5, lo=[-math.inf, -math.inf, 0.5]),))
+    path, val, diag = minimize_energy(prog)
+    assert val == pytest.approx(2.900885125514633, rel=1e-9)
+    assert path_energy(path) == pytest.approx(val, rel=1e-12)
+    assert diag["converged"]
+
+
+def test_box_program_infeasible_in_every_order():
+    # w(1) = 2 whatever t_2 is, above the box's 1.5
+    with pytest.raises(InfeasibleError):
+        minimize_energy(ConstraintProgram(
+            increments=((0.0, None, [1.0]), (None, 1.0, [1.0])),
+            boxes=(BoxConstraint(1.0, hi=[1.5]),)))
+
+
 def test_chain_endpoint_mismatch():
     u = np.array([1.0])
     prog = ConstraintProgram(increments=((0.0, 0.4, u), (0.5, 0.9, u)))
@@ -205,3 +298,29 @@ def test_schilder_determinism():
     b, _ = schilder_empirical_slope(halfspace_set(1.0), 2, [3.0], 5000,
                                     seed=9)
     assert a == b
+
+
+# Rows of the solver before box programs were solved per order of the free
+# times; the shift has no free times, so they must not move by one bit.
+SCHILDER_ROWS = [
+    (halfspace_set(1.0), 3,
+     [(2.0, 0.9463441500411289, 0.005978244237062832, 1217.0076691628926),
+      (3.0, 0.7382289421306174, 0.0032566543009151113, 901.8313237751546)]),
+    (halfspace_set(1.0), 11,
+     [(2.0, 0.9501895662166652, 0.00605342551544175, 1195.9479489174537),
+      (3.0, 0.7375653140176358, 0.0032104629102000723, 921.9443881152936)]),
+    (box_at_one_set([0.5, -1.0], [2.0, 1.0]), 3,
+     [(2.0, 0.47290033598734665, 0.004944345234457348, 1559.9479968327728),
+      (3.0, 0.3026157381363108, 0.00239906381381257, 1396.4929232303484)]),
+    (box_at_one_set([0.5, -1.0], [2.0, 1.0]), 11,
+     [(2.0, 0.470691837914451, 0.00491360164440774, 1571.8349213082085),
+      (3.0, 0.3025760868611277, 0.0024013746052815683, 1394.7432735372454)]),
+]
+
+
+@pytest.mark.parametrize("set_spec, seed, rows", SCHILDER_ROWS)
+def test_schilder_rows_bit_identical(set_spec, seed, rows):
+    got, warning = schilder_empirical_slope(set_spec, 2, [2.0, 3.0], 4000,
+                                            seed=seed)
+    assert got == rows
+    assert not warning
