@@ -109,10 +109,20 @@ def _check_energy_minimizer(n_cases):
         us = [rng.normal(size=4) for _ in range(k - 1)]
         prog = variational.ConstraintProgram(
             increments=tuple((None, None, u) for u in us))
-        _, val, _ = variational.minimize_energy(prog)
+        path, val, _ = variational.minimize_energy(prog)
         want = variational.closed_form_inf(us)
         assert abs(val - want) <= 1e-6 * max(1.0, want), \
             f"energy minimum {val} vs closed form {want}"
+        # the route uses the formula too: check that its path meets every
+        # target in order and has the reported energy
+        sums = np.cumsum([np.zeros(4), *us], axis=0)
+        miss = np.abs(path.values[None] - sums[:, None]).max(axis=2)
+        hits = miss.argmin(axis=1)
+        assert miss.min(axis=1).max() <= 1e-12 and np.all(np.diff(hits) > 0), \
+            "minimizer path misses a target"
+        energy = variational.path_energy(path)
+        assert abs(energy - val) <= 1e-12 * max(1.0, val), \
+            f"path energy {energy} vs reported minimum {val}"
 
 
 def _check_slope_fit():

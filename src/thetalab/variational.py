@@ -3,11 +3,11 @@
 The rate functional I(phi) = (1/2) integral ||phi'||^2 is evaluated exactly
 on piecewise-linear paths.  ``minimize_energy`` takes one of two routes:
 
-* Increments only.  Between the chain times the minimizer is straight, so
-  at fixed times the energy is exactly (1/2) sum ||u_j||^2 / g_j over the
-  gaps g_j = t_{j+1} - t_j.  Each maximal run of free times between two
-  fixed ones (0 and 1 count as fixed) is a small convex program in its
-  gaps, solved once by SLSQP with the analytic gradient.
+* Increments only, in closed form.  Between the chain times the minimizer
+  is straight, so at fixed times the energy is exactly
+  (1/2) sum ||u_j||^2 / g_j over the gaps g_j = t_{j+1} - t_j.  On each
+  maximal run of free times between two fixed ones (0 and 1 count as
+  fixed) Cauchy-Schwarz gives the minimizing gaps, proportional to ||u_j||.
 * With box constraints.  An inner convex QP in the knot values (SLSQP
   over the path Laplacian).  With the order of the free chain times among
   the box times fixed, its value is convex in the times (a perspective
@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 
 from .errors import ContractError, InfeasibleError
 from .sampler import (TimeGrid, cameron_martin_weight, make_rng,
-                      sample_bm_increments, shift_on_grid)
+                      sample_bm_increments)
 
 _FEAS_TOL = 1e-8
 _MERGE_TOL = 1e-9
@@ -121,60 +121,30 @@ def _merge_knots(times):
     return np.array(merged)
 
 
-def _run_gaps(a, length):
-    """Gaps g >= 0 summing to ``length`` that minimise (1/2) sum a_j / g_j.
-
-    A zero weight gets a zero gap, unless every weight is zero (the value is
-    then 0 for any split and the gaps are equal).  Positive weights share
-    the length by one SLSQP solve from equal gaps on the unit simplex.
-    Returns (gaps, iterations, converged).
-    """
-    g = np.zeros(a.size)
-    pos = a > 0.0
-    n = int(pos.sum())
-    if n == 0:
-        g[:] = length / a.size
-        return g, 0, True
-    if n == 1:
-        g[pos] = length
-        return g, 0, True
-    w = a[pos] / a[pos].max()
-
-    def objective(x):
-        return 0.5 * float(np.sum(w / x)), -0.5 * w / x ** 2
-
-    res = minimize(objective, np.full(n, 1.0 / n), jac=True, method="SLSQP",
-                   bounds=[(1e-12, 1.0)] * n,
-                   constraints=[{"type": "eq",
-                                 "fun": lambda x: x.sum() - 1.0,
-                                 "jac": lambda x: np.ones((1, n))}],
-                   options={"maxiter": 400, "ftol": 1e-16})
-    g[pos] = length * res.x / res.x.sum()
-    return g, int(res.nit), bool(res.success)
-
-
 def _minimize_increments(slots, u_list, extra_knots):
-    """Minimal energy of an increments-only program, solved in its gaps.
+    """Minimal energy of an increments-only program, in closed form.
 
     The chain is 0, t_1, ..., t_k, 1 with weight ||u_j||^2 on the gap
     (t_j, t_{j+1}) and weight 0 on the two outer gaps, where the minimizer
-    is flat.  Each run of free times between fixed ones is solved alone.
+    is flat.  Each run of free times between fixed ones is solved alone:
+    by Cauchy-Schwarz, (sum ||u_j||)^2 <= sum g_j * sum ||u_j||^2 / g_j,
+    with equality at gaps g proportional to ||u||, so a zero target takes
+    no time.  A run of zero targets has value 0 for any split; its gaps
+    are equal.
     """
     times = [0.0, *slots, 1.0]
     weights = np.array([0.0, *(float(u @ u) for u in u_list), 0.0])
     chain = np.array([np.nan if t is None else t for t in times])
     anchors = [i for i, t in enumerate(times) if t is not None]
-    iterations, converged = 0, True
     for lo, hi in zip(anchors, anchors[1:]):
         length = chain[hi] - chain[lo]
         if length < 0.0:
             raise InfeasibleError("fixed chain times decrease",
                                   certificate=(chain[lo], chain[hi]))
         if hi - lo > 1:
-            g, nit, ok = _run_gaps(weights[lo:hi], length)
-            chain[lo + 1:hi] = chain[lo] + np.cumsum(g)[:-1]
-            iterations += nit
-            converged = converged and ok
+            r = np.sqrt(weights[lo:hi])
+            g = r / r.sum() if r.sum() > 0.0 else np.full(r.size, 1 / r.size)
+            chain[lo + 1:hi] = chain[lo] + length * np.cumsum(g)[:-1]
     gaps = np.diff(chain)
     pos = weights > 0.0
     short = pos & (gaps <= _MERGE_TOL)
@@ -192,7 +162,7 @@ def _minimize_increments(slots, u_list, extra_knots):
     values = np.column_stack([np.interp(knots, chain, col)
                               for col in chain_values.T])
     return (PiecewiseLinearPath(knots, values), value,
-            {"outer_iterations": iterations, "converged": converged})
+            {"outer_iterations": 0, "converged": True})
 
 
 def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
@@ -378,17 +348,21 @@ def minimize_energy(prog: ConstraintProgram, n_extra_knots=0,
                     n_restarts=None):
     """Minimal energy over paths meeting the program's constraints.
 
-    Programs without boxes are solved in their gap variables: a free t_1
-    goes to 0, a free t_k to 1, and each run of free chain times between
-    fixed ones is one SLSQP solve with the analytic gradient; the value is
-    (1/2) sum ||u_j||^2 / g_j at the solved times.  Programs with boxes
-    solve a convex QP in the knot values at given chain times; each order
-    of the free times among the box times is one convex SLSQP solve over
-    those times (``_solve_order``), and the best order gives the value.
+    Programs without boxes are solved in closed form in their gap
+    variables: a free t_1 goes to 0, a free t_k to 1, and each run of free
+    chain times between fixed ones shares its length in proportion to
+    ||u_j||; the value is (1/2) sum ||u_j||^2 / g_j at those times.
+    Programs with boxes solve a convex QP in the knot values at given chain
+    times; each order of the free times among the box times is one convex
+    SLSQP solve over those times (``_solve_order``), and the best order
+    gives the value.  A lone box at time 1 is a Schilder set: its minimizer
+    is the straight path on the one cell [0, 1] to the box's point nearest
+    the origin, which ``schilder_empirical_slope`` uses without a solve.
     ``n_extra_knots`` evenly spaced knots are added to the returned path;
     ``n_restarts`` is ignored, accepted for one more release.  Returns
     (PiecewiseLinearPath, value, diagnostics): ``outer_iterations`` (SLSQP
-    iterations, summed over feasible orders) and ``converged`` (best order's).
+    iterations, summed over feasible orders; 0 without boxes) and
+    ``converged`` (best order's).
     """
     slots = _chain_time_slots(prog)
     u_list = prog.u_list
@@ -454,59 +428,52 @@ def box_at_one_set(lo, hi):
     return {"type": "box_at_one", "lo": list(lo), "hi": list(hi)}
 
 
-def _set_membership(values_at_one, set_spec, t):
+def _set_box(set_spec, d):
+    """The set {omega : omega(1) in [lo, hi]} as (lo, hi); sides may be
+    infinite.  An empty box raises InfeasibleError."""
     kind = set_spec["type"]
-    if kind == "full":
-        return np.ones(values_at_one.shape[0], dtype=bool)
+    lo, hi = np.full(d, -math.inf), np.full(d, math.inf)
     if kind == "halfspace":
-        return values_at_one[:, set_spec["coord"]] >= t * set_spec["a"]
-    if kind == "box_at_one":
-        lo = t * np.asarray(set_spec["lo"], dtype=float)
-        hi = t * np.asarray(set_spec["hi"], dtype=float)
-        return np.all((values_at_one >= lo) & (values_at_one <= hi), axis=1)
-    raise ContractError(f"unknown set type {set_spec['type']!r}")
-
-
-def _set_minimizer(set_spec, d):
-    """Energy minimizer of the unscaled set, as a piecewise-linear shift."""
-    kind = set_spec["type"]
-    if kind in ("full",):
-        return PiecewiseLinearPath(np.array([0.0, 1.0]), np.zeros((2, d)))
-    if kind == "halfspace":
-        lo = np.full(d, -np.inf)
+        if not 0 <= set_spec["coord"] < d:
+            raise ContractError(f"coord {set_spec['coord']} is not in "
+                                f"[0, {d})")
         lo[set_spec["coord"]] = set_spec["a"]
-        prog = ConstraintProgram(boxes=(BoxConstraint(1.0, lo=lo),))
     elif kind == "box_at_one":
-        prog = ConstraintProgram(boxes=(
-            BoxConstraint(1.0, lo=set_spec["lo"], hi=set_spec["hi"]),))
-    else:
+        lo, hi = (np.asarray(set_spec[side], dtype=float)
+                  for side in ("lo", "hi"))
+        if lo.shape != (d,) or hi.shape != (d,):
+            raise ContractError(f"box bounds must have length d={d}")
+    elif kind != "full":
         raise ContractError(f"unknown set type {kind!r}")
-    path, _, _ = minimize_energy(prog)
-    return path
+    if np.any(lo > hi):
+        raise InfeasibleError("empty box at time 1", certificate=(lo, hi))
+    return lo, hi
 
 
 def schilder_empirical_slope(set_spec, d, t_grid, n_samples, seed,
                              ess_threshold=200.0):
     """Curve of -(1/t^2) log mu(t * set) by Cameron-Martin tilting.
 
-    The tilt is t times the set's energy minimizer, so the shifted cloud
-    straddles the rare region; the effective sample size of the
-    contributing weights is reported per point and a low value raises the
-    warning flag.  Paths are drawn on the minimizer's own knots (plus
-    t = 1): the shift is linear between knots, so the Cameron-Martin
-    weight and w(1) depend only on the knot-interval increments.
+    The tilt is t times the set's energy minimizer, the straight path to
+    the point of the box at time 1 nearest the origin (Schilder's rate is
+    half its squared norm), so the shifted cloud straddles the rare region;
+    the effective sample size of the contributing weights is reported per
+    point and a low value raises the warning flag.  Paths are drawn on the
+    one cell [0, 1]: the shift is linear on it, so the Cameron-Martin
+    weight and w(1) depend only on the increment w(1).
     """
-    minimizer = _set_minimizer(set_spec, d)
-    grid = TimeGrid(minimizer.knots).with_times([1.0])
+    lo, hi = _set_box(set_spec, d)
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    nearest = np.clip(0.0, lo, hi)
     rows = []
     warning = False
     for i, t in enumerate(np.asarray(t_grid, dtype=float)):
         rng = make_rng(seed, 200 + i)
         incs = sample_bm_increments(grid, d, n_samples, rng)
-        phi = t * shift_on_grid(grid, minimizer.knots, minimizer.values)
+        phi = t * np.vstack([np.zeros(d), nearest])
         shifted, logw = cameron_martin_weight(grid, incs, phi)
-        end = shifted.sum(axis=1)  # w(1) + phi(1)
-        member = _set_membership(end, set_spec, t)
+        w1 = shifted[:, 0]  # w(1) + phi(1)
+        member = np.all((w1 >= t * lo) & (w1 <= t * hi), axis=1)
         if not member.any():
             rows.append((float(t), math.inf, 0.0, 0.0))
             warning = True

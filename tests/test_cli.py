@@ -272,6 +272,15 @@ def test_schilder_cli_rows_and_ignored_n_cells(tmp_path, capsys):
     assert "set.coord" in capsys.readouterr().err
 
 
+def test_schilder_empty_box_is_infeasible(tmp_path, capsys):
+    doc = {"command": "schilder", "d": 2, "seed": 4,
+           "set": {"type": "box_at_one", "lo": [1.0, 0.0], "hi": [0.5, 1.0]},
+           "t_grid": [1.0, 2.0, 3.0], "n_samples": 200}
+    assert main(["schilder", "--config",
+                 write(tmp_path, "e.json", doc)]) == EXIT_INFEASIBLE
+    capsys.readouterr()
+
+
 PAIRING = {"command": "pairing", "d": 4, "u_list": [[1.0, 0.0, 0.0, 0.0]],
            "method": "bridge", "n_outer": 8, "n_inner": 1, "seed": 3}
 ETA = {"command": "eta", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],

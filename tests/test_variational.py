@@ -70,6 +70,44 @@ def test_minimize_free_times_matches_closed_form():
                                     rel=1e-9, abs=1e-9)
 
 
+def _free_chain_cases():
+    # all times free (k = 3..7): gaps in proportion to |u_j| from t_1 = 0
+    rng = np.random.default_rng(3)
+    for k in range(3, 8):
+        us = [rng.normal(size=3) for _ in range(k - 1)]
+        norms = np.array([np.linalg.norm(u) for u in us])
+        yield pytest.param(tuple((None, None, u) for u in us),
+                           np.r_[0.0, np.cumsum(norms) / norms.sum()],
+                           closed_form_inf(us), id=f"free-k{k}")
+    # t_3 = 0.5 fixed: |e1| and |2 e2| share (0, 0.5), 3 e1 takes (0.5, 1)
+    e1, e2 = np.eye(2)
+    yield pytest.param(
+        ((None, None, e1), (None, 0.5, 2 * e2), (0.5, None, 3 * e1)),
+        np.array([0.0, 0.5 / 3, 0.5, 1.0]),
+        (1 + 2) ** 2 / (2 * 0.5) + 3 ** 2 / (2 * 0.5), id="fixed-interior")
+    # a zero target takes no time
+    yield pytest.param(
+        ((None, None, e1), (None, None, np.zeros(2)), (None, None, 2 * e2)),
+        np.array([0.0, 1 / 3, 1 / 3, 1.0]), (1 + 2) ** 2 / 2,
+        id="zero-target")
+
+
+@pytest.mark.parametrize("increments, times, value", _free_chain_cases())
+def test_free_chain_times_closed_form(increments, times, value):
+    # the free chain times are the |u_j|-proportional allocation, the knots
+    # are exactly those times with 0 and 1, and no solver runs
+    path, val, diag = minimize_energy(ConstraintProgram(increments=increments))
+    dist = np.abs(path.knots[:, None] - np.r_[0.0, times, 1.0])
+    assert dist.min(axis=0).max() <= 1e-13
+    assert dist.min(axis=1).max() <= 1e-13
+    sums = np.cumsum([np.zeros(path.d), *(u for _, _, u in increments)],
+                     axis=0)
+    assert np.array_equal(path.values[dist[:, 1:-1].argmin(axis=0)], sums)
+    assert val == pytest.approx(value, rel=1e-14)
+    assert path_energy(path) == pytest.approx(val, rel=1e-14)
+    assert diag == {"outer_iterations": 0, "converged": True}
+
+
 def test_minimize_zero_target_takes_no_time():
     # a zero target gets a zero gap, so the free chain is e1 then e2 with
     # half the time each: 2 * (1/2) * 1 / (1/2) = 2, with no search error
@@ -254,18 +292,24 @@ def test_ldp_slope_fit_exact_models():
         ldp_slope_fit([(2.0, 0.5), (1.0, 0.4), (3.0, 0.3)])
 
 
-def test_halfspace_minimizer_energy():
-    from thetalab.variational import _set_minimizer
-    path = _set_minimizer(halfspace_set(1.0), 2)
-    assert path_energy(path) == pytest.approx(0.5, rel=1e-8)
-    assert path.values[-1, 0] == pytest.approx(1.0, rel=1e-6)
-
-
-def test_box_at_one_minimizer():
-    from thetalab.variational import _set_minimizer
-    path = _set_minimizer(box_at_one_set([0.5, -1.0], [2.0, 1.0]), 2)
-    # nearest point of the box to the origin is (0.5, 0)
-    assert path_energy(path) == pytest.approx(0.125, rel=1e-6)
+@pytest.mark.parametrize("lo, hi", [
+    pytest.param([1.0, -math.inf], [math.inf, math.inf], id="halfspace"),
+    pytest.param([-math.inf, 0.7], [math.inf, math.inf],
+                 id="halfspace-coord1"),
+    pytest.param([0.5, -1.0], [2.0, 1.0], id="box"),
+    pytest.param([-2.0, 0.3], [-0.5, 4.0], id="box-upper-left"),
+    pytest.param([-math.inf, -math.inf], [math.inf, math.inf], id="full"),
+    pytest.param([-1.0, -0.5, -2.0], [1.0, 0.5, 3.0], id="contains-origin"),
+])
+def test_box_at_one_minimizer_closed_form(lo, hi):
+    # Schilder: the rate of {w(1) in [lo, hi]} is half the squared distance
+    # from the origin to the box, reached by the straight path to its
+    # nearest point; the box solver must find both
+    nearest = np.clip(0.0, lo, hi)
+    path, val, _ = minimize_energy(
+        ConstraintProgram(boxes=(BoxConstraint(1.0, lo=lo, hi=hi),)))
+    assert val == pytest.approx(0.5 * float(nearest @ nearest), abs=1e-12)
+    assert np.allclose(path.values[-1], nearest, rtol=0.0, atol=1e-12)
 
 
 def test_schilder_full_space_is_zero():
@@ -292,6 +336,16 @@ def test_schilder_unknown_set():
                                  100, seed=0)
 
 
+def test_schilder_set_shape_and_empty_box():
+    for spec in (halfspace_set(1.0, coord=2),
+                 box_at_one_set([0.0], [1.0, 1.0])):
+        with pytest.raises(ContractError):
+            schilder_empirical_slope(spec, 2, [2.0, 3.0], 100, seed=0)
+    with pytest.raises(InfeasibleError):
+        schilder_empirical_slope(box_at_one_set([1.0, 0.0], [0.5, 1.0]), 2,
+                                 [2.0, 3.0], 100, seed=0)
+
+
 def test_schilder_determinism():
     a, _ = schilder_empirical_slope(halfspace_set(1.0), 2, [3.0], 5000,
                                     seed=9)
@@ -300,8 +354,9 @@ def test_schilder_determinism():
     assert a == b
 
 
-# Rows of the solver before box programs were solved per order of the free
-# times; the shift has no free times, so they must not move by one bit.
+# Rows computed when the shift's end point came from the box solver; its
+# closed form, the box's point nearest the origin, is the same to the bit,
+# so these rows and the d = 3 row below must not move by one bit.
 SCHILDER_ROWS = [
     (halfspace_set(1.0), 3,
      [(2.0, 0.9463441500411289, 0.005978244237062832, 1217.0076691628926),
@@ -323,4 +378,14 @@ def test_schilder_rows_bit_identical(set_spec, seed, rows):
     got, warning = schilder_empirical_slope(set_spec, 2, [2.0, 3.0], 4000,
                                             seed=seed)
     assert got == rows
+    assert not warning
+
+
+def test_schilder_rows_bit_identical_d3():
+    # a half-space on the middle coordinate of three
+    got, warning = schilder_empirical_slope(
+        halfspace_set(0.7, coord=1), 3, [2.0, 3.0], 4000, seed=3)
+    assert got == [
+        (2.0, 0.6279171753346331, 0.005255136862509333, 1445.6027995120412),
+        (3.0, 0.4514043078376807, 0.0028067579729858325, 1126.1900595381846)]
     assert not warning
