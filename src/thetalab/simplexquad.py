@@ -114,18 +114,22 @@ def _gap_log_integrand(sq, d, eps, log_moment=None):
     slack prod_i (1 - s_i).  Slack, Jacobian and ds = s dy give the log
     weight sum_i [y_i + (m - i + 1) log(1 - s_i)], i from 1.
     ``log_moment`` adds a log factor of the first gap (eps = 0 there).
-    """
-    power = np.arange(len(sq), 0, -1, dtype=float)
 
+    ``logf`` takes an open grid (``np.ix_``): y_i along axis i, of length 1
+    on the others.  Gap j uses axes 0..j; only the last spans the grid.
+    """
     def logf(y):
-        log1m = np.log(-np.expm1(y))
-        log_g = y.copy()
-        log_g[..., 1:] += np.cumsum(log1m[..., :-1], axis=-1)
-        g = np.maximum(np.exp(log_g), np.finfo(float).tiny) + eps
-        with np.errstate(over="ignore"):  # |u|^2/g = inf: the kernel is 0
-            out = np.sum(y, axis=-1) + log1m @ power \
-                + np.sum(log_heat_kernel_sq(sq, g, d), axis=-1)
-        return out if log_moment is None else out + log_moment(g[..., 0])
+        out = log_run = 0.0  # log_run: sum over i < j of log(1 - s_i)
+        for j, (y_j, sq_j) in enumerate(zip(y, sq)):
+            g = np.maximum(np.exp(y_j + log_run), np.finfo(float).tiny) + eps
+            log1m = np.log(-np.expm1(y_j))
+            with np.errstate(over="ignore"):  # |u|^2/g = inf: the kernel is 0
+                out = out + (y_j + (len(sq) - j) * log1m) \
+                    + log_heat_kernel_sq(sq_j, g, d)
+            if j == 0 and log_moment is not None:
+                out = out + log_moment(g)
+            log_run = log_run + log1m
+        return out
 
     return logf
 
@@ -135,18 +139,18 @@ def _locate_peak(logf, lo):
 
     The first grid per axis is uniform in y and in s = e^y, so that peaks
     near s = 0 and near s = 1 are bracketed; each later grid spans the
-    neighbours of the best node at a quarter of the spacing.
+    neighbours of the best node at a quarter of the spacing.  ``logf`` runs
+    on the open grid of the axes.
     """
     axes = [np.unique(np.concatenate([
         np.linspace(a, -1e-12, 10),
         np.log(np.linspace(math.exp(a), 1.0 - 1e-12, 10))])) for a in lo]
     for _ in range(24):
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = logf(grid.reshape(-1, len(lo)))
-        best = np.unravel_index(int(np.argmax(vals)), grid.shape[:-1])
+        grid, vals = axes, logf(np.ix_(*axes))
+        best = np.unravel_index(int(np.argmax(vals)), vals.shape)
         axes = [np.linspace(ax[max(i - 1, 0)], ax[min(i + 1, ax.size - 1)],
                             9) for ax, i in zip(axes, best)]
-    return grid[best], float(vals.max())
+    return np.array([ax[i] for ax, i in zip(grid, best)]), float(vals.max())
 
 
 def _axis_cuts(logf, peak, top, lo):
@@ -157,16 +161,16 @@ def _axis_cuts(logf, peak, top, lo):
     end.  For a product of unimodal axis profiles the mass cut, relative to
     the integral, is at most the end value over ``top`` times the cut length
     over the profile's width (its integral over ``top``); below ``lo`` the
-    integrand decays at least like e^{y/2}.
+    integrand decays at least like e^{y/2}.  A profile is ``logf`` on an
+    open grid whose other axes are the peak's coordinates, of length 1.
     """
     steps = np.geomspace(1e-12, 1.0, 64)
     cuts, bound = [], 0.0
     for i, (p, a) in enumerate(zip(peak, lo)):
         ys = np.concatenate([p - steps[::-1] * (p - a), [p], p - steps * p])
-        pts = np.repeat(peak[None, :], ys.size, axis=0)
-        pts[:, i] = ys
+        axes = [ys if j == i else peak[j:j + 1] for j in range(peak.size)]
         with np.errstate(divide="ignore"):  # log(1 - s) at s = 1
-            prof = logf(pts) - top
+            prof = logf(np.ix_(*axes)).ravel() - top
         ia = max(np.flatnonzero(prof[:64] < -_CUT), default=0)
         ib = min(np.flatnonzero(prof[65:] < -_CUT), default=63) + 65
         width = trapezoid(np.exp(prof[ia:ib + 1]), ys[ia:ib + 1])
@@ -184,7 +188,8 @@ def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
     n grows along _LADDER until two successive values agree to ``tol``;
     the error is their relative difference plus the cut bound plus the
     rounding of the log terms.  A moment infinite at the peak search gives
-    +inf.
+    +inf.  Each rule is summed over open grids of about _CHUNK nodes (rows
+    of the first axis), never over the full grid.
     """
     sq = np.asarray(sq, dtype=float)
     with np.errstate(divide="ignore"):
@@ -201,27 +206,22 @@ def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
     if not math.isfinite(top):
         raise CapacityError("gap integrand underflows everywhere")
     cuts, cut_err = _axis_cuts(logf, peak, top, lo)
+    a, b = np.transpose(cuts)  # per axis: panels [a, p] and [p, b]
+    start = np.stack([a, peak], -1)[..., None]
+    half = 0.5 * np.stack([peak - a, b - peak], -1)[..., None]
     prev = diff = math.inf
     for n in _LADDER:
-        shape = (2 * n,) * sq.size
-        total = math.prod(shape)
-        if total > _MAX_NODES:
+        if (2 * n) ** sq.size > _MAX_NODES:
             break
         x, w = _gauss_legendre(n)
-        rules = []  # per axis: nodes and log weights on [a, p] and [p, b]
-        for (a, b), p in zip(cuts, peak):
-            half = 0.5 * np.array([[p - a], [b - p]])
-            with np.errstate(divide="ignore"):  # a panel of length 0
-                rules.append((np.ravel([[a], [p]] + half * (x + 1.0)),
-                              np.ravel(np.log(half * w))))
-        parts = []
-        for start in range(0, total, _CHUNK):
-            idx = np.unravel_index(
-                np.arange(start, min(start + _CHUNK, total)), shape)
-            y = np.stack([nodes[i] for (nodes, _), i in zip(rules, idx)], -1)
-            logw = sum(lw[i] for (_, lw), i in zip(rules, idx))
-            parts.append(logsumexp(logf(y) + logw))
-        cur = float(logsumexp(parts))
+        nodes = (start + half * (x + 1.0)).reshape(sq.size, -1)
+        with np.errstate(divide="ignore"):  # a panel of length 0
+            logw = np.log(half * w).reshape(sq.size, -1)
+        rows = max(1, _CHUNK // (2 * n) ** (sq.size - 1))
+        cur = float(logsumexp([
+            logsumexp(logf(np.ix_(nodes[0, r:r + rows], *nodes[1:]))
+                      + sum(np.ix_(logw[0, r:r + rows], *logw[1:])))
+            for r in range(0, 2 * n, rows)]))
         diff = abs(math.expm1(cur - prev))
         if diff <= tol:
             break
@@ -259,14 +259,14 @@ def gap_reduced_integral(ig: SimplexIntegrand, q: QuadratureSpec = None):
     if q is None:
         q = QuadratureSpec()
     m = len(ig.u_list)
-    if q.method == "tensor_gauss" and m <= _DET_MAX_GAP_DIMS:
+    method = q.method if m <= _DET_MAX_GAP_DIMS else "dirichlet_mc"
+    if method == "tensor_gauss":
         log_value, rel = _log_gap_tensor(
             ig.sq_norms(), ig.d, ig.eps_shift, min(q.target_rel_err, 1e-10))
-        return LogIntegral(log_value, rel, "tensor_gauss",
-                           warning=rel > q.target_rel_err)
-    log_value, rel = _log_gap_mc(ig, q)
-    return LogIntegral(log_value, rel, "dirichlet_mc",
-                       warning=rel > q.target_rel_err)
+    else:
+        log_value, rel = _log_gap_mc(ig, q)
+    return LogIntegral(float(log_value), float(rel), method,
+                       warning=bool(rel > q.target_rel_err))
 
 
 def mass_m(u, d, q: QuadratureSpec = None):

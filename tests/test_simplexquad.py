@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -10,11 +11,12 @@ from scipy.special import exp1, gamma, gammaincc
 from thetalab.cli import execute, parse_config
 from thetalab.errors import ContractError, DomainError
 from thetalab.estimators import WeightFunction
-from thetalab.kernels import heat_kernel
+from thetalab.kernels import heat_kernel, log_heat_kernel_sq
 from thetalab.simplexquad import (LogIntegral, QuadratureSpec,
-                                  SimplexIntegrand, eta_mass_integral,
-                                  gap_reduced_integral, ldp_mass_curve,
-                                  mass_m, mass_m_direct, mc_simplex_raw)
+                                  SimplexIntegrand, _gap_log_integrand,
+                                  eta_mass_integral, gap_reduced_integral,
+                                  ldp_mass_curve, mass_m, mass_m_direct,
+                                  mc_simplex_raw)
 
 U4 = np.array([1.0, 0.0, 0.0, 0.0])
 NORMS = (1e-9, 1e-5, 1e-3, 0.01, 0.5, 4.0)
@@ -120,6 +122,102 @@ def test_ldp_curve_k3_matches_nested_quad_values():
         assert 0.0 < rel <= 1e-9
 
 
+# (-log I(t) / t^2, rel_err) on t = 4, 8, 12, 16, 20 for unit targets in
+# d = 4, as the stacked-point tensor rule computed them before the
+# integrand moved to open grids
+PINNED_CURVES = {
+    2: [(1.0025190933573156, 6.053932641846789e-14),
+        (0.6666594995088405, 3.977853452733899e-12),
+        (0.5851120090408792, 3.028906167723974e-13),
+        (0.552325008791818, 5.343110922620526e-13),
+        (0.5357057266359804, 7.932580482445604e-13)],
+    3: [(2.836654194727329, 1.6479783623295466e-13),
+        (2.263055775395965, 2.62131852091648e-12),
+        (2.1309700952519406, 1.5485622478373394e-12),
+        (2.0792850543727015, 1.894655593236431e-12),
+        (2.0535304171214617, 3.035520499469697e-12)],
+    4: [(5.609920058129797, 3.792850273336452e-13),
+        (4.842579342709062, 1.1614712430636933e-12),
+        (4.66916178165387, 2.6196264597755952e-12),
+        (4.601898016307082, 5.098634797454047e-12),
+        (4.568562467462557, 1.6045564830671664e-11)],
+}
+
+
+def assert_pinned(log_value, rel_err, want_log, want_rel):
+    # rel_err is the difference of two rule values plus terms known in
+    # closed form; that difference is itself rounded, so it is pinned to
+    # within the 16 eps (1 + |log I|) rounding term rel_err already carries
+    assert log_value == pytest.approx(want_log, rel=1e-13, abs=0.0)
+    assert rel_err == pytest.approx(
+        want_rel, rel=0.0, abs=16.0 * np.finfo(float).eps * (1 + abs(want_log)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_ldp_curve_matches_pinned_values(k):
+    t_grid = [4.0, 8.0, 12.0, 16.0, 20.0]
+    curve = ldp_mass_curve(list(np.eye(4)[:k - 1]), 4, t_grid)
+    for (t, y, rel), (want_y, want_rel) in zip(curve, PINNED_CURVES[k]):
+        assert_pinned(-y * t * t, rel, -want_y * t * t, want_rel)
+
+
+def test_shifted_and_weighted_integrals_match_pinned_values():
+    e = np.eye(4)
+    res = gap_reduced_integral(SimplexIntegrand(
+        4, (e[0], [0.3, -1.2, 0.5, 0.0], e[2]), eps_shift=0.02, scale_t=3.0))
+    assert_pinned(res.log_value, res.rel_err,
+                  -63.752991943676996, 2.3715602495724535e-13)
+    f = WeightFunction("abs_power", 0.5)
+    for m, want in ((0, 0.010256747461938137), (4, 2.657257223141805),
+                    (8, 175.69590818433605)):
+        got = eta_mass_integral([2.0 ** -m, 0, 0, 0], 4, f.gaussian_moment)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    # d = 1 with a tiny third target: the ladder runs to its last rung and
+    # stops above the 1e-10 tolerance (the decay-aware cut is still open)
+    for t, want_y, want_rel in ((1.0, 9.526773395917724, 5.09018701867371e-10),
+                                (4.0, 3.6564169376751714,
+                                 4.949694084127049e-10)):
+        [(_, y, rel)] = ldp_mass_curve([[-0.378], [-2.0], [1e-5]], 1, [t])
+        assert_pinned(-y * t * t, rel, -want_y * t * t, want_rel)
+
+
+def test_gap_log_integrand_open_grid_oracle():
+    # log f at s in the cube, from the stick-broken gaps g_j = s_j
+    # prod_{i<j} (1 - s_i): the kernels, the slack prod_i (1 - s_i), the
+    # Jacobian prod_j prod_{i<j} (1 - s_i) and ds = s dy
+    rng = np.random.default_rng(7)
+    for m, d, eps, moment in ((1, 4, 0.0, None), (1, 2, 0.0, np.log),
+                              (2, 1, 0.01, None), (2, 4, 0.0, None),
+                              (3, 4, 0.0, None), (3, 1, 0.02, None),
+                              (3, 2, 0.0, np.sqrt)):
+        sq = rng.uniform(1e-3, 4.0, m)
+        s_axes = [rng.uniform(0.05, 0.95, 3 + i) for i in range(m)]
+        got = _gap_log_integrand(sq, d, eps, moment)(
+            np.ix_(*[np.log(s) for s in s_axes]))
+        assert got.shape == tuple(s.size for s in s_axes)
+        for idx in np.ndindex(got.shape):
+            s = np.array([ax[i] for ax, i in zip(s_axes, idx)])
+            head = np.concatenate([[1.0], np.cumprod(1.0 - s)])
+            gaps = s * head[:-1]
+            want = (np.sum(log_heat_kernel_sq(sq, gaps + eps, d))
+                    + math.log(head[-1]) + np.sum(np.log(head[:-1]))
+                    + np.sum(np.log(s)))
+            if moment is not None:
+                want += moment(gaps[0])
+            assert got[idx] == pytest.approx(want, rel=1e-13, abs=1e-13), \
+                (m, d, eps, idx)
+
+
+def test_log_integral_fields_are_plain_python_types():
+    for q in (None, QuadratureSpec(method="dirichlet_mc",
+                                   nodes_or_samples=1000)):
+        res = gap_reduced_integral(SimplexIntegrand(4, (U4, U4)), q)
+        assert type(res.log_value) is float
+        assert type(res.rel_err) is float
+        assert type(res.warning) is bool
+        json.dumps(dataclasses.asdict(res))
+
+
 def test_gap_reduction_vs_raw_mc_k2():
     det = gap_reduced_integral(SimplexIntegrand(4, (U4,))).value
     mc, se = mc_simplex_raw([U4], 4, 400000, seed=3)
@@ -129,6 +227,13 @@ def test_gap_reduction_vs_raw_mc_k2():
 def test_gap_reduction_vs_raw_mc_k3():
     det = gap_reduced_integral(SimplexIntegrand(4, (U4, U4))).value
     mc, se = mc_simplex_raw([U4, U4], 4, 800000, seed=4)
+    assert abs(det - mc) <= 3.0 * se
+
+
+def test_gap_reduction_vs_raw_mc_k4():
+    us = [U4, [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.5, 0.0]]
+    det = gap_reduced_integral(SimplexIntegrand(4, tuple(us))).value
+    mc, se = mc_simplex_raw(us, 4, 800000, seed=6)
     assert abs(det - mc) <= 3.0 * se
 
 
