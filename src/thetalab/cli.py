@@ -292,8 +292,6 @@ SCHEMAS = {
         "d": (_v_int(lo=1), True),
         "u_list": (_v_vec_list(), True),
         "t_grid": (_v_num_list(lo=1.0, increasing=True, min_len=3), True),
-        "method": (_v_enum("tensor_gauss", "dirichlet_mc"), False),
-        "n_samples": (_v_int(lo=2), False),
     },
     "pairing": {
         "d": (_v_int(lo=1), True),
@@ -384,11 +382,6 @@ def parse_config(text):
         seed = None
     if command in MC_COMMANDS and seed is None:
         errors.append(f"seed: mandatory for Monte Carlo command {command!r}")
-    if command == "ldp-slope" \
-            and (params.get("method") == "dirichlet_mc"
-                 or len(params.get("u_list", [0])) > 3) and seed is None:
-        errors.append("seed: mandatory when ldp-slope uses Monte Carlo "
-                      "quadrature (k - 1 > 3 gaps or method=dirichlet_mc)")
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -481,12 +474,7 @@ def _run_mass(p, seed):
 
 
 def _run_ldp_slope(p, seed):
-    method = p.get("method",
-                   "tensor_gauss" if len(p["u_list"]) <= 3 else
-                   "dirichlet_mc")
-    q = QuadratureSpec(method=method,
-                       nodes_or_samples=p.get("n_samples", 200000),
-                       seed=seed or 0)
+    q = QuadratureSpec()
     curve = ldp_mass_curve(p["u_list"], p["d"], p["t_grid"], q)
     L, diag = ldp_slope_fit(curve)
     # a relative error r of I moves -log(I)/t^2 by about log(1 + r)/t^2

@@ -1,12 +1,15 @@
-"""Deterministic and Monte Carlo integration over the ordered time simplex.
+"""Deterministic integration over the ordered time simplex.
 
 The integrals of interest are products of heat kernels of consecutive
 increments over Delta_k = {0 <= t_1 < ... < t_k <= 1}.  The gap change of
 variables g_j = t_{j+1} - t_j turns these into integrals over
 {g >= 0, sum g <= 1} of (1 - sum g) * prod_j p^d_{g_j + eps}(s u_j), where
-the slack factor accounts for the free translation of t_1.  All kernel
-products are accumulated as sums of logs; at large scale factors the
-integrand magnitudes fall to e^{-200} and below.
+the slack factor accounts for the free translation of t_1.  At eps = 0 that
+is the Laplace convolution of the kernels and the slack at time 1, found by
+one Bromwich integral for any k; a shifted or weighted integrand goes to a
+tensor rule on the gap simplex.  All kernel products are accumulated as sums
+of logs; at large scale factors the integrand magnitudes fall to e^{-200}
+and below.
 """
 
 import functools
@@ -15,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, trapezoid
-from scipy.special import logsumexp
+from scipy.special import kve
 
 from .errors import CapacityError, ContractError, DomainError
 from .kernels import log_heat_kernel, log_heat_kernel_sq
 
-_DET_MAX_GAP_DIMS = 3
 # Gauss-Legendre nodes per side of the peak on each axis, tried in turn while
 # the tensor grid has at most _MAX_NODES nodes, evaluated _CHUNK at a time.
 _LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
@@ -31,6 +33,11 @@ _Y_MARGIN = 60.0   # y = log s is searched down to log(|u|^2/d + eps) - this
 _Y_FLOOR = -700.0  # ... and never below this
 # built on first use and shared: callers must not write to the arrays
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
+# the Bromwich contour: trapezoid nodes on [0, Y] of the first and the last
+# rule, with Y _WIDTHS saddle widths out
+_N_FIRST = 32
+_N_LAST = 2 ** 12
+_WIDTHS = 12.0
 
 
 @dataclass(frozen=True)
@@ -75,16 +82,9 @@ class SimplexIntegrand:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    method: str = "tensor_gauss"  # or "dirichlet_mc"
-    nodes_or_samples: int = 200000
     target_rel_err: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("tensor_gauss", "dirichlet_mc"):
-            raise ContractError(f"unknown quadrature method {self.method!r}")
-        if self.nodes_or_samples < 2:
-            raise ContractError("nodes_or_samples must be >= 2")
         if self.target_rel_err <= 0.0:
             raise ContractError("target_rel_err must be positive")
 
@@ -100,9 +100,11 @@ class LogIntegral:
 
     @property
     def value(self):
-        if self.log_value > math.log(np.finfo(float).max):
+        """The integral; a CapacityError where it over- or underflows."""
+        if not math.log(np.finfo(float).tiny) <= self.log_value \
+                <= math.log(np.finfo(float).max):
             raise CapacityError(
-                f"integral e^{self.log_value:.6g} overflows a double")
+                f"integral e^{self.log_value:.6g} leaves the double range")
         return math.exp(self.log_value)
 
 
@@ -180,6 +182,14 @@ def _axis_cuts(logf, peak, top, lo):
     return cuts, bound
 
 
+def _log_sum_exp(a):
+    """log sum exp(a) by the max shift; -inf for an all -inf ``a``."""
+    top = np.max(a)
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(a - top))))
+
+
 def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
     """(log value, relative error) of the gap-simplex integral.
 
@@ -192,6 +202,9 @@ def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
     of the first axis), never over the full grid.
     """
     sq = np.asarray(sq, dtype=float)
+    if (2 * _LADDER[0]) ** sq.size > _MAX_NODES:
+        raise CapacityError(f"{sq.size} gaps exceed the tensor rule's "
+                            f"{_MAX_NODES} nodes")
     with np.errstate(divide="ignore"):
         lo = np.log(sq / d + eps) - _Y_MARGIN
     if d >= 2 and np.any(lo < _Y_FLOOR):
@@ -218,9 +231,9 @@ def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
         with np.errstate(divide="ignore"):  # a panel of length 0
             logw = np.log(half * w).reshape(sq.size, -1)
         rows = max(1, _CHUNK // (2 * n) ** (sq.size - 1))
-        cur = float(logsumexp([
-            logsumexp(logf(np.ix_(nodes[0, r:r + rows], *nodes[1:]))
-                      + sum(np.ix_(logw[0, r:r + rows], *logw[1:])))
+        cur = _log_sum_exp(np.array([
+            _log_sum_exp(logf(np.ix_(nodes[0, r:r + rows], *nodes[1:]))
+                         + sum(np.ix_(logw[0, r:r + rows], *logw[1:])))
             for r in range(0, 2 * n, rows)]))
         diff = abs(math.expm1(cur - prev))
         if diff <= tol:
@@ -229,42 +242,125 @@ def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
     return cur, diff + cut_err + 16.0 * np.finfo(float).eps * (1 + abs(cur))
 
 
-def _log_gap_mc(ig: SimplexIntegrand, q: QuadratureSpec):
-    m = len(ig.u_list)
-    rng = np.random.Generator(np.random.Philox(key=[q.seed, 0x51]))
-    sq = np.asarray(ig.sq_norms())
-    n = q.nodes_or_samples
-    parts = rng.dirichlet(np.ones(m + 1), size=n)
-    gaps = parts[:, :m]
-    slack = parts[:, m]
-    logh = np.log(np.clip(slack, 1e-300, None))
-    for j in range(m):
-        logh += log_heat_kernel_sq(sq[j], gaps[:, j] + ig.eps_shift, ig.d)
-    shift = logh.max()
-    w = np.exp(logh - shift)
-    mean = w.mean()
-    rel = w.std(ddof=1) / (math.sqrt(n) * mean) if mean > 0 else np.inf
-    log_value = shift + math.log(mean) - math.lgamma(m + 1)
-    return log_value, rel
+def _log_bromwich(sq, d, sigma, y):
+    """log of e^lam lam^-2 prod_j F_j(lam) at lam = sigma (1 + i y)^2.
+
+    F_j(lam) = (2 pi)^{-d/2} 2 (a_j/lam)^{-nu/2} K_nu(2 sqrt(a_j lam)), with
+    a_j = |u_j|^2/2 and nu = d/2 - 1, is the Laplace transform of the gap
+    kernel g -> p_g(u_j), and lam^-2 that of the slack.  On the contour
+    sqrt(lam) = sqrt(sigma) (1 + i y); the exponents lam - sum_j 2 sqrt(a_j
+    lam) are summed in closed form, so their large imaginary parts cancel
+    before rounding.  ``sigma`` and ``y`` broadcast.
+    """
+    root_a = np.sqrt(np.asarray(sq, dtype=float) / 2.0)
+    total, rs, w = root_a.sum(), np.sqrt(sigma), 1.0 + 1j * np.asarray(y)
+    log_lam = np.log(sigma) + 2.0 * np.log(w)
+    out = sigma * (1.0 - w.imag ** 2) - 2.0 * rs * total \
+        + 2j * w.imag * rs * (rs - total) - 2.0 * log_lam
+    if d == 1:  # K_{1/2} in closed form; a zero target is allowed
+        return out - 0.5 * root_a.size * (log_lam + math.log(2.0))
+    nu = d / 2.0 - 1.0
+    z = 2.0 * np.multiply.outer(root_a, rs * w)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_k = np.log(kve(nu, z))  # log K_nu(z) + z
+    tiny = np.isinf(log_k)  # K_nu(z) ~ Gamma(nu)/2 (z/2)^-nu as z -> 0
+    if np.any(tiny):
+        log_k[tiny] = math.lgamma(nu) - math.log(2.0) \
+            - nu * np.log(z[tiny] / 2.0) + z[tiny]
+    return out + np.sum(math.log(2.0) - 0.5 * d * math.log(2.0 * math.pi)
+                        + nu * (math.log(2.0) + log_lam - np.log(z))
+                        + log_k, axis=0)
+
+
+def _log_gap_laplace(sq, d, tol):
+    """(log value, relative error) of the gap-simplex integral at eps = 0.
+
+    The integral is (f_1 * ... * f_m * s)(1), a Laplace convolution of the
+    gap kernels and the slack at time 1, so it is the Bromwich integral
+    (1/2 pi i) int e^lam lam^-2 prod_j F_j(lam) d lam of :func:`_log_bromwich`.
+    On the parabola lam = sigma (1 + i y)^2 (Weideman and Trefethen, Math.
+    Comp. 76 (2007)) it is (1/pi) int_0^inf Re[e^lam lam^-2 prod_j F_j 2
+    sigma (1 + i y)] dy.  sigma is the real saddle point, found by a grid of
+    17 nodes in log lam that follows the minimum until it is inside, then
+    shrinks to its neighbours (the log integrand is convex in real lam); the
+    grid starts at the saddle of lam - 2 log lam - 2 S sqrt(lam), S = sum_j
+    sqrt(a_j), which is S^2 to leading order.  A trapezoid rule on [0, Y], Y
+    _WIDTHS saddle widths out, doubles its nodes from _N_FIRST until two
+    values agree to ``tol``.  The error is their relative difference, plus
+    a bound on the cut tail (past Y, |e^lam| = e^{sigma (1 - y^2)} and the
+    other factors grow at most like (1 + y^2)^{m d/4 - 3/2}), plus
+    the rounding of the log terms, scaled by any cancellation in the sum.
+    """
+    sq = np.asarray(sq, dtype=float)
+    if d >= 2 and np.any(sq == 0.0):
+        raise DomainError("increment target underflows: |u|^2 = 0 for d >= 2")
+
+    def logg(sigma, y):  # the y-integrand, Jacobian d lam/(i dy) included
+        return _log_bromwich(sq, d, sigma, y) \
+            + np.log(2.0 * sigma * (1.0 + 1j * np.asarray(y)))
+
+    lead = np.sum(np.sqrt(sq / 2.0))
+    mu, half = 2.0 * math.log((lead + math.sqrt(lead ** 2 + 8.0)) / 2.0), 4.0
+    for _ in range(200):
+        mus = np.linspace(mu - half, mu + half, 17)
+        i = int(np.argmin(_log_bromwich(sq, d, np.exp(mus), 0.0).real))
+        mu, half = float(mus[i]), half / 8.0 if 0 < i < 16 else half
+        if half < 1e-3:
+            break
+    else:
+        raise CapacityError("the Laplace integrand has no saddle point")
+    sigma = math.exp(mu)
+    # Re log g ~ top - y^2 / (2 w^2) about y = 0, w the saddle width
+    dy = 1e-2 / math.sqrt(sigma)
+    top, side = logg(sigma, np.array([0.0, dy])).real
+    if not (math.isfinite(top) and top > side):
+        raise CapacityError("the Laplace integrand has no finite peak at "
+                            f"its saddle point {sigma:.6g}")
+    growth = sq.size * d / 4.0 - 1.5
+    y_cut = max(_WIDTHS * dy / math.sqrt(2.0 * (top - side)),
+                math.sqrt(max(2.0 * growth / sigma - 1.0, 0.0)))
+    h, n = y_cut / _N_FIRST, _N_FIRST
+    logs = logg(sigma, np.linspace(0.0, y_cut, n + 1)) - top
+    # past y_cut the modulus falls at least like e^{-(y - y_cut) r} with
+    # r = 2 y_cut (sigma - growth / (1 + y_cut^2)) >= sigma y_cut
+    tail = math.exp(logs[-1].real) \
+        / (2.0 * y_cut * (sigma - growth / (1.0 + y_cut ** 2)))
+    terms = np.exp(logs).real
+    terms[[0, -1]] *= 0.5
+    total, size, prev = terms.sum(), np.abs(terms).sum(), math.inf
+    while True:
+        if not total > 0.0:
+            raise CapacityError("Laplace inversion lost the integral")
+        cur = top + math.log(h * total / math.pi)
+        diff = abs(math.expm1(cur - prev))
+        if diff <= tol or n >= _N_LAST:
+            break
+        prev = cur
+        terms = np.exp(logg(sigma, (np.arange(n) + 0.5) * h) - top).real
+        total, size = total + terms.sum(), size + np.abs(terms).sum()
+        h, n = h / 2.0, 2 * n
+    rounding = 16.0 * np.finfo(float).eps * (1 + abs(cur)) * size / total
+    return cur, diff + tail / (h * total) + rounding
 
 
 def gap_reduced_integral(ig: SimplexIntegrand, q: QuadratureSpec = None):
     """log of the Delta_k integral of the kernel product, via gap variables.
 
-    Tensor Gauss-Legendre quadrature for up to three gap dimensions,
-    Dirichlet weighted Monte Carlo beyond (or on request).  An error estimate
-    above the target relative error sets the warning flag but the value is
-    returned.
+    Laplace inversion (:func:`_log_gap_laplace`) at any k for eps_shift = 0;
+    the tensor rule on the gap simplex (:func:`_log_gap_tensor`) for a
+    positive shift.  An error estimate above the target relative error sets
+    the warning flag but the value is returned.
     """
     if q is None:
         q = QuadratureSpec()
-    m = len(ig.u_list)
-    method = q.method if m <= _DET_MAX_GAP_DIMS else "dirichlet_mc"
-    if method == "tensor_gauss":
-        log_value, rel = _log_gap_tensor(
-            ig.sq_norms(), ig.d, ig.eps_shift, min(q.target_rel_err, 1e-10))
+    tol = min(q.target_rel_err, 1e-10)
+    if ig.eps_shift == 0.0:
+        method = "laplace_inversion"
+        log_value, rel = _log_gap_laplace(ig.sq_norms(), ig.d, tol)
     else:
-        log_value, rel = _log_gap_mc(ig, q)
+        method = "tensor_gauss"
+        log_value, rel = _log_gap_tensor(ig.sq_norms(), ig.d, ig.eps_shift,
+                                         tol)
     return LogIntegral(float(log_value), float(rel), method,
                        warning=bool(rel > q.target_rel_err))
 

@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import kve
 
 from thetalab import cli, selfcheck
 from thetalab.cli import (ConfigError, EXIT_DOMAIN, EXIT_INFEASIBLE,
                           EXIT_OK, EXIT_WARNING, ExperimentConfig,
                           config_hash, emit_config, execute, main,
                           parse_config)
-from thetalab.simplexquad import QuadratureSpec, ldp_mass_curve
+from thetalab.simplexquad import ldp_mass_curve
 from thetalab.variational import closed_form_inf
 
 
@@ -149,8 +150,7 @@ def test_execute_ldp_slope_rows(tmp_path):
 
 
 def test_execute_ldp_slope_three_gaps(capsys):
-    # k = 4 runs the tensor rule in three gap dimensions; it used to end in
-    # an OverflowError traceback after 30-60 s
+    # k = 4 once ended in an OverflowError traceback after 30-60 s
     us = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.6, 0.8]]
     cfg = parse_config(json.dumps({"command": "ldp-slope", "d": 4,
                                    "u_list": us, "format": "json",
@@ -230,24 +230,41 @@ def test_chaos_norm_subnormal_variance_exits_2_without_warning(tmp_path,
 
 
 def test_ldp_slope_stderr_and_missed_target(tmp_path, capsys):
-    # plain Dirichlet Monte Carlo over four gaps at 1000 samples misses the
-    # 1e-6 quadrature target: the rows say so and --strict exits 3
+    # four gaps need no seed and meet the 1e-6 target; the stderr column
+    # is log(1 + rel_err)/t^2 of the library curve
     us = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
     doc = {"command": "ldp-slope", "d": 4, "u_list": us, "t_grid": [2, 3, 4],
-           "method": "dirichlet_mc", "n_samples": 1000, "seed": 1,
            "format": "json"}
     path = write(tmp_path, "s.json", doc)
-    assert main(["ldp-slope", "--config", path, "--strict"]) == EXIT_WARNING
+    assert main(["ldp-slope", "--config", path, "--strict"]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert main(["ldp-slope", "--config", path]) == EXIT_OK
-    curve = ldp_mass_curve(us, 4, [2, 3, 4], QuadratureSpec(
-        method="dirichlet_mc", nodes_or_samples=1000, seed=1))
-    for row, (t, y, rel) in zip(rows, curve):
-        assert rel > 0.01 and row["value"] == y
+    for row, (t, y, rel) in zip(rows, ldp_mass_curve(us, 4, [2, 3, 4])):
+        assert 0.0 < rel <= 1e-6 and row["value"] == y
         assert row["stderr"] == pytest.approx(math.log1p(rel) / t ** 2)
-    doc.update(u_list=us[:1], method="tensor_gauss", t_grid=[4, 8, 12])
-    assert main(["ldp-slope", "--config", write(tmp_path, "g.json", doc),
-                 "--strict"]) == EXIT_OK
+    # the Monte Carlo quadrature and its fields are gone
+    for extra in ({"method": "dirichlet_mc"}, {"n_samples": 1000}):
+        path = write(tmp_path, "m.json", dict(doc, **extra))
+        assert main(["ldp-slope", "--config", path]) == EXIT_DOMAIN
+        assert f"{next(iter(extra))}: unknown field" \
+            in capsys.readouterr().err
+    # a target no rule reaches: the row says so and --strict exits 3
+    doc = {"command": "mass", "d": 4, "u": [1, 0, 0, 0],
+           "target_rel_err": 1e-300, "format": "json"}
+    path = write(tmp_path, "g.json", doc)
+    assert main(["mass", "--config", path, "--strict"]) == EXIT_WARNING
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["method"] == "laplace_inversion"
+    assert 1e-300 * row["value"] < row["stderr"] <= 1e-13 * row["value"]
+    assert main(["mass", "--config", path]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_mass_past_the_double_range_exits_2(tmp_path, capsys):
+    # log I is about -|u|^2/2 = -5000: the mass is no double, not 0.0
+    doc = {"command": "mass", "d": 4, "u": [100.0, 0, 0, 0]}
+    assert main(["mass", "--config", write(tmp_path, "u.json", doc)]) \
+        == EXIT_DOMAIN
+    assert "double range" in capsys.readouterr().err
 
 
 def test_schilder_cli_rows_and_ignored_n_cells(tmp_path, capsys):
@@ -341,15 +358,13 @@ def test_rate_min_artifact(tmp_path):
 
 
 def test_selfcheck_sabotaged_kernel_fails_dual_route(monkeypatch):
-    from thetalab import kernels, simplexquad
+    from thetalab import simplexquad
 
-    def wrong_power(sq_norm, eps, d):
-        sq_norm = np.asarray(sq_norm, dtype=float)
-        eps = np.asarray(eps, dtype=float)
-        return -0.5 * (d - 1) * np.log(2.0 * np.pi * eps) \
-            - sq_norm / (2.0 * eps)
+    def wrong_power(nu, z):
+        # the Laplace transform of a kernel of the wrong power of g
+        return kve(nu + 0.5, z)
 
-    monkeypatch.setattr(simplexquad, "log_heat_kernel_sq", wrong_power)
+    monkeypatch.setattr(simplexquad, "kve", wrong_power)
     failures = []
     for name, fn in selfcheck.checks_for("quick"):
         try:

@@ -9,14 +9,16 @@ import pytest
 from scipy.special import exp1, gamma, gammaincc
 
 from thetalab.cli import execute, parse_config
-from thetalab.errors import ContractError, DomainError
+from thetalab.errors import CapacityError, ContractError, DomainError
 from thetalab.estimators import WeightFunction
 from thetalab.kernels import heat_kernel, log_heat_kernel_sq
 from thetalab.simplexquad import (LogIntegral, QuadratureSpec,
                                   SimplexIntegrand, _gap_log_integrand,
+                                  _log_gap_laplace, _log_gap_tensor,
                                   eta_mass_integral, gap_reduced_integral,
                                   ldp_mass_curve, mass_m, mass_m_direct,
                                   mc_simplex_raw)
+from thetalab.variational import closed_form_inf, ldp_slope_fit
 
 U4 = np.array([1.0, 0.0, 0.0, 0.0])
 NORMS = (1e-9, 1e-5, 1e-3, 0.01, 0.5, 4.0)
@@ -52,15 +54,18 @@ def test_integrand_validation():
     # u = 0 becomes integrable with a positive shift
     ig = SimplexIntegrand(4, (np.zeros(4),), eps_shift=0.01)
     assert ig.k == 2
+    # a shifted integrand goes to the tensor rule, which has no rung for
+    # six gaps
+    with pytest.raises(CapacityError):
+        gap_reduced_integral(SimplexIntegrand(4, (U4,) * 6, eps_shift=0.01))
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(ContractError):
-        QuadratureSpec(method="simpson")
-    with pytest.raises(ContractError):
-        QuadratureSpec(nodes_or_samples=1)
-    with pytest.raises(ContractError):
         QuadratureSpec(target_rel_err=0.0)
+    # no rule takes a method, a sample count or a seed
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] \
+        == ["target_rel_err"]
 
 
 def test_mass_dual_route_spot():
@@ -95,7 +100,7 @@ def test_rel_err_bounds_actual_error():
         want = exact_mass(r)
         assert abs(res.value - want) <= res.rel_err * want, r
         assert res.rel_err <= 1e-9 and not res.warning
-    # k = 3 against the same rule run to the end of its node ladder
+    # k = 3 against the same rule run to its finest rule
     full = QuadratureSpec(target_rel_err=1e-300)
     u2 = np.array([0.3, -1.2, 0.5, 0.0])
     for ig in (SimplexIntegrand(4, (U4, U4)),
@@ -109,9 +114,87 @@ def test_rel_err_bounds_actual_error():
         assert not res.warning
 
 
+def test_laplace_route_matches_tensor_rule_over_a_grid():
+    # the tensor rule is the route's oracle at k <= 4; each side's error
+    # bounds the difference
+    rng = np.random.default_rng(1)
+    for d in (1, 2, 4, 6):
+        for k in (2, 3, 4):
+            for t in (1.0, 4.0, 8.0, 20.0, 80.0):
+                sq = t * t * np.sum(rng.normal(size=(k - 1, d)) ** 2, axis=1)
+                got, rel = _log_gap_laplace(sq, d, 1e-10)
+                want, want_rel = _log_gap_tensor(sq, d, 0.0, 1e-13)
+                assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), \
+                    (d, k, t)
+                assert abs(math.expm1(got - want)) <= rel + want_rel, \
+                    (d, k, t)
+
+
+def test_laplace_route_matches_closed_forms_within_its_error():
+    # d = 4 down to |u| = 1e-4, where the kernel peak has width 1e-8
+    for r in (3.0, 1.0, 0.1, 1e-2, 1e-3, 1e-4):
+        got, rel = _log_gap_laplace([r * r], 4, 1e-10)
+        err = abs(math.expm1(got - math.log(exact_mass(r))))
+        assert err <= min(rel, 1e-13), r
+    # d = 2: (1/2 pi) [(1 + a) E_1(a) - e^{-a}], here at |u| = 1e-20
+    for r in (1.5, 1e-20):
+        a = r * r / 2.0
+        want = ((1.0 + a) * exp1(a) - math.exp(-a)) / (2.0 * math.pi)
+        res = gap_reduced_integral(SimplexIntegrand(2, ([r, 0.0],)))
+        assert abs(res.value / want - 1.0) <= min(res.rel_err, 1e-13), r
+    # d = 1 allows a zero target, with transform (2 lambda)^{-1/2}: the
+    # mass is int_0^1 (1 - g) (2 pi g)^{-1/2} dg = (4/3) (2 pi)^{-1/2}
+    res = gap_reduced_integral(SimplexIntegrand(1, ([0.0],)))
+    want = 4.0 / 3.0 / math.sqrt(2.0 * math.pi)
+    assert abs(res.value / want - 1.0) <= min(res.rel_err, 1e-13)
+    # k = 3 with one large and one tiny target, against a 1-d adaptive
+    # quadrature over the tiny target's gap with the other gap's slack
+    # integral in closed form (erfc at d = 3, E_1 at d = 4); the tensor
+    # rule is 4e-7 and 1.35 off in log I on these, beyond its own error
+    for d, sq, want in ((3, [36.4060958, 2.6460224e-08], -20.026158818301987),
+                        (4, [1.67602152e+05, 1.67590360e-16],
+                         -83794.08177819829)):
+        got, rel = _log_gap_laplace(sq, d, 1e-10)
+        assert abs(math.expm1(got - want)) <= rel, d
+
+
+def test_laplace_route_is_finite_or_raises_a_typed_error():
+    # a d = 2 target whose square underflows has no integrable kernel
+    with pytest.raises(DomainError):
+        gap_reduced_integral(SimplexIntegrand(2, ([1e-200, 0.0],)))
+    six = tuple(np.eye(6)[:5])
+    res = gap_reduced_integral(SimplexIntegrand(6, six, scale_t=3000.0))
+    assert math.isfinite(res.log_value) and not res.warning
+    assert -res.log_value / 3000.0 ** 2 == pytest.approx(12.5, rel=1e-5)
+    with pytest.raises(CapacityError):  # e^{-1.1e8} is not a double
+        res.value
+    # past |z| ~ 1e9 the Bessel routine has no value
+    with pytest.raises(CapacityError):
+        gap_reduced_integral(SimplexIntegrand(6, six, scale_t=1e5))
+
+
+@pytest.mark.parametrize("k, seed", [(5, 5), (6, 6)])
+def test_laplace_route_vs_raw_mc_beyond_the_tensor_rule(k, seed):
+    us = [np.eye(4)[j % 4] * (0.5 + 0.3 * j) for j in range(k - 1)]
+    det = gap_reduced_integral(SimplexIntegrand(4, tuple(us)))
+    mc, se = mc_simplex_raw(us, 4, 1000000, seed=seed)
+    assert abs(det.value - mc) <= 3.0 * se
+    assert det.rel_err <= 1e-10 and det.method == "laplace_inversion"
+
+
+def test_ldp_curve_k5_slope_matches_closed_form():
+    # five unit targets, L = (sum |u_j|)^2 / 2 = 8; the log t / t^2 term
+    # the three-term fit leaves out is small on t = 10 ... 160
+    us = list(np.eye(4)[[0, 1, 2, 3]])
+    curve = ldp_mass_curve(us, 4, [10.0, 20.0, 40.0, 80.0, 160.0])
+    L, _ = ldp_slope_fit(curve)
+    assert abs(L - closed_form_inf(us)) <= 1e-3
+    assert all(rel <= 1e-8 for _, _, rel in curve)
+
+
 def test_ldp_curve_k3_matches_nested_quad_values():
     # criterion 4's k = 3 curve as the nested adaptive scipy.quad route
-    # computed it; the tensor rule must agree and raise no warning
+    # computed it; the Laplace route must agree and raise no warning
     old = [2.836654194727329, 2.2630557753959653, 2.1309700952519406,
            2.0792850543727015, 2.0535304171214617]
     with warnings.catch_warnings():
@@ -155,10 +238,16 @@ def assert_pinned(log_value, rel_err, want_log, want_rel):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_ldp_curve_matches_pinned_values(k):
+    # the tensor rule reproduces its own pins; the Laplace route that
+    # ldp_mass_curve now takes lands on the same log values
     t_grid = [4.0, 8.0, 12.0, 16.0, 20.0]
     curve = ldp_mass_curve(list(np.eye(4)[:k - 1]), 4, t_grid)
-    for (t, y, rel), (want_y, want_rel) in zip(curve, PINNED_CURVES[k]):
-        assert_pinned(-y * t * t, rel, -want_y * t * t, want_rel)
+    for t, (_, y, _), (want_y, want_rel) in zip(t_grid, curve,
+                                                 PINNED_CURVES[k]):
+        log_value, rel = _log_gap_tensor([t * t] * (k - 1), 4, 0.0, 1e-10)
+        assert_pinned(log_value, rel, -want_y * t * t, want_rel)
+        assert -y * t * t == pytest.approx(-want_y * t * t, rel=1e-13,
+                                           abs=0.0)
 
 
 def test_shifted_and_weighted_integrals_match_pinned_values():
@@ -172,13 +261,18 @@ def test_shifted_and_weighted_integrals_match_pinned_values():
                     (8, 175.69590818433605)):
         got = eta_mass_integral([2.0 ** -m, 0, 0, 0], 4, f.gaussian_moment)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-    # d = 1 with a tiny third target: the ladder runs to its last rung and
-    # stops above the 1e-10 tolerance (the decay-aware cut is still open)
+    # d = 1 with a tiny third target: the tensor ladder runs to its last
+    # rung and stops above the 1e-10 tolerance; its value is 1.7e-10 off
+    # the Laplace route's, inside the error it reports
     for t, want_y, want_rel in ((1.0, 9.526773395917724, 5.09018701867371e-10),
                                 (4.0, 3.6564169376751714,
                                  4.949694084127049e-10)):
-        [(_, y, rel)] = ldp_mass_curve([[-0.378], [-2.0], [1e-5]], 1, [t])
-        assert_pinned(-y * t * t, rel, -want_y * t * t, want_rel)
+        sq = [t * t * 0.378 ** 2, t * t * 4.0, t * t * 1e-10]
+        log_value, rel = _log_gap_tensor(sq, 1, 0.0, 1e-10)
+        assert_pinned(log_value, rel, -want_y * t * t, want_rel)
+        [(_, y, route_rel)] = ldp_mass_curve([[-0.378], [-2.0], [1e-5]], 1,
+                                             [t])
+        assert abs(math.expm1(-y * t * t - log_value)) <= rel + route_rel
 
 
 def test_gap_log_integrand_open_grid_oracle():
@@ -209,9 +303,8 @@ def test_gap_log_integrand_open_grid_oracle():
 
 
 def test_log_integral_fields_are_plain_python_types():
-    for q in (None, QuadratureSpec(method="dirichlet_mc",
-                                   nodes_or_samples=1000)):
-        res = gap_reduced_integral(SimplexIntegrand(4, (U4, U4)), q)
+    for eps in (0.0, 0.05):  # the Laplace route and the tensor rule
+        res = gap_reduced_integral(SimplexIntegrand(4, (U4, U4), eps))
         assert type(res.log_value) is float
         assert type(res.rel_err) is float
         assert type(res.warning) is bool
@@ -242,24 +335,6 @@ def test_eps_shift_semigroup_consistency():
     det = gap_reduced_integral(SimplexIntegrand(4, (U4,), eps_shift=0.05))
     mc, se = mc_simplex_raw([U4], 4, 400000, seed=5, eps_shift=0.05)
     assert abs(det.value - mc) <= 3.0 * se
-
-
-def test_dirichlet_mc_matches_deterministic():
-    q = QuadratureSpec(method="dirichlet_mc", nodes_or_samples=400000,
-                       seed=11)
-    det = gap_reduced_integral(SimplexIntegrand(4, (U4,)))
-    mc = gap_reduced_integral(SimplexIntegrand(4, (U4,)), q)
-    assert mc.method == "dirichlet_mc"
-    assert abs(mc.value - det.value) \
-        <= 3.0 * mc.rel_err * mc.value
-
-
-def test_mc_determinism():
-    q = QuadratureSpec(method="dirichlet_mc", nodes_or_samples=50000,
-                       seed=42)
-    a = gap_reduced_integral(SimplexIntegrand(4, (U4,)), q)
-    b = gap_reduced_integral(SimplexIntegrand(4, (U4,)), q)
-    assert a.log_value == b.log_value
 
 
 def test_scale_t_suppresses_mass():
