@@ -6,7 +6,6 @@ the (k+1)^gamma weighted sum of the spectrum; negative gamma indices the
 generalised-function spaces.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +36,6 @@ class ChaosSpectrum:
     @property
     def truncation_K(self):
         return self.levels.size - 1
-
-    def to_json(self):
-        return json.dumps({"levels": self.levels.tolist()})
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(np.asarray(obj["levels"], dtype=float))
 
 
 @dataclass(frozen=True)

@@ -342,9 +342,6 @@ SCHEMAS = {
         "set": (_v_set, True),
         "t_grid": (_v_num_list(lo=1.0, increasing=True, min_len=3), True),
         "n_samples": (_v_int(lo=2), False),
-        # ignored: paths are drawn on the one cell [0, 1]; accepted for
-        # one more release so that existing configs still parse
-        "n_cells": (_v_int(lo=2), False),
     },
     "selfcheck": {
         "tier": (_v_enum("quick", "full"), False),

@@ -10,14 +10,13 @@ fixed-grid API (:class:`TimeGrid`, :func:`sample_conditioned_bm`, ...) is
 the one-row case; :func:`cameron_martin_weight` applies a Cameron-Martin
 shift on a fixed grid with its log weight.  Streams are
 counter-based Philox keyed by (seed, stream index), so parallel workers
-draw non-overlapping deterministic substreams; overlapping windows are
-conditioned in closed form by :class:`GaussianConditioner`.
+draw non-overlapping deterministic substreams.  Conditioning windows
+must be pairwise disjoint.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ContractError, DomainError
 
@@ -91,7 +90,8 @@ class IncrementConstraintSet:
     """Ordered constraints w(t_hi) - w(t_lo) = u, pairwise non-overlapping.
 
     Intervals may share endpoints (the consecutive Delta_k case) but must
-    not overlap; overlapping constraints need the Gaussian conditioner.
+    not overlap: the bridge correction of :func:`bridge_adjust` is exact
+    only for disjoint windows.
     """
 
     items: tuple  # of (t_lo, t_hi, u)
@@ -107,8 +107,8 @@ class IncrementConstraintSet:
         for (_, hi_a, _), (lo_b, _, _) in zip(items, items[1:]):
             if lo_b < hi_a:
                 raise ContractError(
-                    "overlapping constraint intervals; use the Gaussian "
-                    "conditioner for the general case")
+                    "overlapping constraint intervals: the bridge "
+                    "correction needs disjoint windows")
         object.__setattr__(self, "items", items)
 
     def endpoints(self):
@@ -235,41 +235,6 @@ def interval_overlap(a, b):
                    0.0, None)
 
 
-class GaussianConditioner:
-    """Exact conditional laws of increment functionals given increments.
-
-    Constraints are increments w(hi_j) - w(lo_j) = u_j; covariances of
-    Brownian increments are interval overlaps, identical per coordinate, so
-    the Schur complement is computed once on the scalar overlap matrix.
-    """
-
-    def __init__(self, intervals, targets):
-        self.intervals = np.asarray(intervals, dtype=float).reshape(-1, 2)
-        self.targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        if len(self.intervals) != self.targets.shape[0]:
-            raise ContractError("one target per constraint interval required")
-        lo, hi = self.intervals.T
-        cov = interval_overlap((lo[:, None], hi[:, None]), (lo, hi))
-        eig = np.linalg.eigvalsh(cov)
-        if eig.min() <= 1e-12 * max(eig.max(), 1.0):
-            raise DomainError(
-                f"degenerate constraint covariance {cov}: some constraint "
-                "interval is linearly dependent on the others")
-        self._factor = cho_factor(cov)
-        self.cov = cov
-
-    def condition_increment(self, lo, hi):
-        """Conditional (mean vector, per-coordinate variance) of w(hi)-w(lo)."""
-        alpha = self.alpha_coefficients(lo, hi)
-        var = (hi - lo) - float(alpha @ self.cov @ alpha)
-        return alpha @ self.targets, max(var, 0.0)
-
-    def alpha_coefficients(self, lo, hi):
-        """Regression weights of the query increment on the constraints."""
-        return cho_solve(self._factor,
-                         interval_overlap((lo, hi), self.intervals.T))
-
-
 def shift_on_grid(grid: TimeGrid, knots, knot_values):
     """Piecewise-linear shift evaluated at the grid times, shape (n, d)."""
     knots = np.asarray(knots, dtype=float)
@@ -293,18 +258,3 @@ def cameron_martin_weight(grid: TimeGrid, increments, shift_values):
     logw = -np.einsum("cd,ncd->n", ratio, increments) \
         - 0.5 * np.sum(ratio * dphi)
     return increments + dphi, logw
-
-
-def sample_correlated_pair(grid: TimeGrid, d, r, seed, n=1, stream=0):
-    """(w, beta) with beta = r w_1 + sqrt(1-r^2) z, z independent of w.
-
-    Returns (w_values, beta_values, z_values) with shapes (n, n_times, d),
-    (n, n_times) and (n, n_times).
-    """
-    if not 0.0 < r < 1.0:
-        raise DomainError("correlation r must lie in (0, 1)")
-    rng = make_rng(seed, stream)
-    w = _paths_from_increments(sample_bm_increments(grid, d, n, rng))
-    z = _paths_from_increments(sample_bm_increments(grid, 1, n, rng))[..., 0]
-    beta = r * w[:, :, 0] + np.sqrt(1.0 - r * r) * z
-    return w, beta, z

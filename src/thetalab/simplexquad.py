@@ -6,10 +6,11 @@ variables g_j = t_{j+1} - t_j turns these into integrals over
 {g >= 0, sum g <= 1} of (1 - sum g) * prod_j p^d_{g_j + eps}(s u_j), where
 the slack factor accounts for the free translation of t_1.  At eps = 0 that
 is the Laplace convolution of the kernels and the slack at time 1, found by
-one Bromwich integral for any k; a shifted or weighted integrand goes to a
-tensor rule on the gap simplex.  All kernel products are accumulated as sums
-of logs; at large scale factors the integrand magnitudes fall to e^{-200}
-and below.
+one Bromwich integral for any k (:func:`gap_reduced_integral`); the
+moment-weighted k = 2 integral of :func:`eta_mass_integral` goes to a tensor
+rule on the gap simplex, which also takes a shift eps > 0.  All kernel
+products are accumulated as sums of logs; at large scale factors the
+integrand magnitudes fall to e^{-200} and below.
 """
 
 import functools
@@ -44,14 +45,12 @@ _WIDTHS = 12.0
 class SimplexIntegrand:
     """Product of heat kernels over the gaps of an ordered k-tuple.
 
-    ``u_list`` holds the k-1 increment targets; ``eps_shift`` adds a common
-    variance shift to every gap (the epsilon of the approximation identity
-    p_eps * p_g = p_{g+eps}); ``scale_t`` multiplies every target.
+    ``u_list`` holds the k-1 increment targets; ``scale_t`` multiplies
+    every target.
     """
 
     d: int
     u_list: tuple
-    eps_shift: float = 0.0
     scale_t: float = 1.0
 
     def __post_init__(self):
@@ -62,11 +61,8 @@ class SimplexIntegrand:
         for u in us:
             if u.size != self.d:
                 raise DomainError("increment target dimension mismatch")
-            if self.eps_shift == 0.0 and np.all(u == 0.0) and self.d >= 2:
-                raise DomainError(
-                    "u_j = 0 with eps_shift = 0 is non-integrable for d >= 2")
-        if self.eps_shift < 0.0:
-            raise DomainError("eps_shift must be nonnegative")
+            if np.all(u == 0.0) and self.d >= 2:
+                raise DomainError("u_j = 0 is non-integrable for d >= 2")
         if self.scale_t <= 0.0:
             raise DomainError("scale_t must be positive")
         object.__setattr__(self, "u_list", us)
@@ -200,6 +196,13 @@ def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
     rounding of the log terms.  A moment infinite at the peak search gives
     +inf.  Each rule is summed over open grids of about _CHUNK nodes (rows
     of the first axis), never over the full grid.
+
+    The error is under-reported when one |u_j|^2 is 1e4-1e21 times another:
+    at d = 4, |u|^2 = 1.676e5 and 1.676e-16 it gives log I 1.35 below the
+    Laplace route's -83794.0818 with an error of 8.7e-10, and at d = 3,
+    |u|^2 = 36.41 and 2.65e-8 it is 4e-7 off with 8e-11.  No library route
+    reaches that case: :func:`eta_mass_integral`, its one caller, has one
+    gap.
     """
     sq = np.asarray(sq, dtype=float)
     if (2 * _LADDER[0]) ** sq.size > _MAX_NODES:
@@ -263,10 +266,22 @@ def _log_bromwich(sq, d, sigma, y):
     z = 2.0 * np.multiply.outer(root_a, rs * w)
     with np.errstate(divide="ignore", over="ignore"):
         log_k = np.log(kve(nu, z))  # log K_nu(z) + z
-    tiny = np.isinf(log_k)  # K_nu(z) ~ Gamma(nu)/2 (z/2)^-nu as z -> 0
-    if np.any(tiny):
-        log_k[tiny] = math.lgamma(nu) - math.log(2.0) \
-            - nu * np.log(z[tiny] / 2.0) + z[tiny]
+    bad = ~np.isfinite(log_k)
+    if np.any(bad):
+        # kve is inf as z -> 0, where K_nu(z) ~ Gamma(nu)/2 (z/2)^-nu, and
+        # NaN past |z| ~ 1.07e9, where the three-term Hankel expansion
+        # matches it to 1e-14 from |z| = 1e8 on
+        zb, fix, mu = z[bad], log_k[bad], 4.0 * nu * nu
+        tiny = np.isinf(fix)
+        if np.any(tiny):  # nu > 0 here: K_0(z) ~ -log z stays finite
+            fix[tiny] = math.lgamma(nu) - math.log(2.0) \
+                - nu * np.log(zb[tiny] / 2.0) + zb[tiny]
+        huge = ~tiny & (np.abs(zb) > 1e8)
+        zh = zb[huge]
+        fix[huge] = 0.5 * np.log(math.pi / (2.0 * zh)) + np.log(
+            1.0 + (mu - 1.0) / (8.0 * zh)
+            + (mu - 1.0) * (mu - 9.0) / (128.0 * zh * zh))
+        log_k[bad] = fix
     return out + np.sum(math.log(2.0) - 0.5 * d * math.log(2.0 * math.pi)
                         + nu * (math.log(2.0) + log_lam - np.log(z))
                         + log_k, axis=0)
@@ -346,22 +361,15 @@ def _log_gap_laplace(sq, d, tol):
 def gap_reduced_integral(ig: SimplexIntegrand, q: QuadratureSpec = None):
     """log of the Delta_k integral of the kernel product, via gap variables.
 
-    Laplace inversion (:func:`_log_gap_laplace`) at any k for eps_shift = 0;
-    the tensor rule on the gap simplex (:func:`_log_gap_tensor`) for a
-    positive shift.  An error estimate above the target relative error sets
-    the warning flag but the value is returned.
+    Laplace inversion (:func:`_log_gap_laplace`) at any k.  An error
+    estimate above the target relative error sets the warning flag but the
+    value is returned.
     """
     if q is None:
         q = QuadratureSpec()
-    tol = min(q.target_rel_err, 1e-10)
-    if ig.eps_shift == 0.0:
-        method = "laplace_inversion"
-        log_value, rel = _log_gap_laplace(ig.sq_norms(), ig.d, tol)
-    else:
-        method = "tensor_gauss"
-        log_value, rel = _log_gap_tensor(ig.sq_norms(), ig.d, ig.eps_shift,
-                                         tol)
-    return LogIntegral(float(log_value), float(rel), method,
+    log_value, rel = _log_gap_laplace(ig.sq_norms(), ig.d,
+                                      min(q.target_rel_err, 1e-10))
+    return LogIntegral(float(log_value), float(rel), "laplace_inversion",
                        warning=bool(rel > q.target_rel_err))
 
 

@@ -37,12 +37,6 @@ def test_spectrum_validation():
     assert sp.truncation_K == 2
 
 
-def test_spectrum_json_round_trip():
-    sp = ChaosSpectrum(np.array([0.5, 0.0, 2.25]))
-    back = ChaosSpectrum.from_json(sp.to_json())
-    assert np.array_equal(back.levels, sp.levels)
-
-
 def test_sobolev_norm_frozen_oracle():
     # levels (1,1,1), gamma = -1: 1 + 1/2 + 1/3
     sp = ChaosSpectrum(np.ones(3))

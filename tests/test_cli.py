@@ -267,16 +267,19 @@ def test_mass_past_the_double_range_exits_2(tmp_path, capsys):
     assert "double range" in capsys.readouterr().err
 
 
-def test_schilder_cli_rows_and_ignored_n_cells(tmp_path, capsys):
+def test_schilder_cli_rows_and_unknown_n_cells(tmp_path, capsys):
     doc = {"command": "schilder", "d": 2, "seed": 4, "format": "json",
            "set": {"type": "halfspace", "a": 1.0},
            "t_grid": [1.0, 2.0, 3.0], "n_samples": 2000}
-    outs = []
-    for extra in ({}, {"n_cells": 8}):
-        path = write(tmp_path, "s.json", dict(doc, **extra))
-        assert main(["schilder", "--config", path]) == EXIT_OK
-        outs.append(json.loads(capsys.readouterr().out)["rows"])
-    assert outs[0] == outs[1]       # n_cells is accepted and ignored
+    path = write(tmp_path, "s.json", doc)
+    assert main(["schilder", "--config", path]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["t"] for row in rows] == [1.0, 2.0, 3.0]
+    assert all(row["value"] is not None for row in rows)
+    # paths are drawn on the one cell [0, 1]; there is no cell count
+    path = write(tmp_path, "n.json", dict(doc, n_cells=8))
+    assert main(["schilder", "--config", path]) == EXIT_DOMAIN
+    assert "n_cells: unknown field" in capsys.readouterr().err
     # a set that no sample reaches has no estimate: null, and a warning
     doc.update(n_samples=2, seed=0)  # both samples miss {w_1(1) >= 1}
     path = write(tmp_path, "r.json", doc)
@@ -355,6 +358,15 @@ def test_rate_min_artifact(tmp_path):
     value = [ln for ln in lines if ln.startswith("# meta.value=")][0]
     assert float(value.split("=")[1]) == pytest.approx(2.0 / 0.8,
                                                        rel=1e-8)
+    # n_restarts is still accepted, and changes nothing
+    doc = write(tmp_path, "rr.json", {
+        "command": "rate-min", "d": 2, "n_restarts": 3,
+        "increments": [[0.2, 0.6, [1.0, 1.0]]]})
+    again = tmp_path / "rr.csv"
+    assert main(["rate-min", "--config", doc, "--out", str(again)]) \
+        == EXIT_OK
+    assert [ln for ln in again.read_text().splitlines()
+            if ln.startswith("# meta.value=")] == [value]
 
 
 def test_selfcheck_sabotaged_kernel_fails_dual_route(monkeypatch):

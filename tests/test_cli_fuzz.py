@@ -135,8 +135,7 @@ def fields(command, d):
                              {"type": st.just("box_at_one"), "lo": vec(d),
                               "hi": vec(d)})),
                      "t_grid": ordered(1.0, 5.0, 3),
-                     "n_samples": st.integers(2, 64),
-                     "n_cells": st.integers(2, 8)},
+                     "n_samples": st.integers(2, 64)},
         "selfcheck": {"tier": st.sampled_from(["quick", "full"])},
     }
     assert set(table[command]) == set(SCHEMAS[command])

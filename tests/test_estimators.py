@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from oracles import GaussianConditioner
 from thetalab.errors import ContractError, DomainError
 from thetalab.estimators import (EstimateWithError, WeightFunction,
                                  _window_regression,
@@ -17,10 +18,10 @@ from thetalab.estimators import (EstimateWithError, WeightFunction,
                                  pairing_epsilon, polynomial_clipped,
                                  support_check)
 from thetalab.kernels import heat_kernel
-from thetalab.sampler import (GaussianConditioner, TimeGrid,
-                              sample_conditioned_bm)
-from thetalab.simplexquad import (SimplexIntegrand, eta_mass_integral,
-                                  gap_reduced_integral, mass_m)
+from thetalab.sampler import TimeGrid, sample_conditioned_bm
+from thetalab.simplexquad import (SimplexIntegrand, _log_gap_tensor,
+                                  eta_mass_integral, gap_reduced_integral,
+                                  mass_m)
 
 U4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -131,10 +132,12 @@ def test_epsilon_rung_semigroup_oracle():
     for us, rungs, n in (((U4,), (0.08, 0.04), 150000),
                          ((U4, U4), (0.04, 0.02, 0.01), 100000)):
         est, ladder = pairing_epsilon(F, us, 4, rungs, n, seed=24)
-        for eps, val, se in ladder + [(0.0, est.value, est.stderr)]:
-            want = gap_reduced_integral(
-                SimplexIntegrand(4, us, eps_shift=eps)).value
+        for eps, val, se in ladder:
+            want = math.exp(_log_gap_tensor([1.0] * len(us), 4, eps,
+                                            1e-10)[0])
             assert abs(val - want) <= 3.0 * se
+        want = gap_reduced_integral(SimplexIntegrand(4, us)).value
+        assert abs(est.value - want) <= 3.0 * est.stderr
 
 
 def test_epsilon_ladder_contract():

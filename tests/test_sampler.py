@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import GaussianConditioner
 from thetalab.errors import ContractError, DomainError
-from thetalab.sampler import (GaussianConditioner, IncrementConstraintSet,
-                              PathGrid, TimeGrid, cameron_martin_weight,
-                              interval_overlap, make_rng, sample_bm,
-                              sample_bm_increments, sample_conditioned_bm,
-                              sample_correlated_pair, shift_on_grid)
+from thetalab.sampler import (IncrementConstraintSet, PathGrid, TimeGrid,
+                              cameron_martin_weight, interval_overlap,
+                              make_rng, sample_bm, sample_bm_increments,
+                              sample_conditioned_bm, shift_on_grid)
 
 
 def test_time_grid_contract():
@@ -158,16 +158,3 @@ def test_sample_bm_shapes():
     vals = sample_bm(grid, 3, seed=2, n=5)
     assert vals.shape == (5, 9, 3)
     assert np.allclose(vals[0], p.values)
-
-
-def test_correlated_pair_moments():
-    grid = TimeGrid(np.linspace(0, 1, 17))
-    r = 0.6
-    w, beta, z = sample_correlated_pair(grid, 2, r, seed=13, n=40000)
-    corr = np.corrcoef(w[:, -1, 0], beta[:, -1])[0, 1]
-    assert corr == pytest.approx(r, abs=0.02)
-    assert beta[:, -1].var() == pytest.approx(1.0, rel=0.05)
-    # z independent of w
-    assert abs(np.corrcoef(w[:, -1, 0], z[:, -1])[0, 1]) <= 0.02
-    with pytest.raises(DomainError):
-        sample_correlated_pair(grid, 2, 1.5, seed=0)

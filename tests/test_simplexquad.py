@@ -44,20 +44,20 @@ def test_integrand_validation():
     with pytest.raises(DomainError):
         SimplexIntegrand(4, ())
     with pytest.raises(DomainError):
-        SimplexIntegrand(4, (np.zeros(4),))   # u=0, eps=0, d>=2
+        SimplexIntegrand(4, (np.zeros(4),))   # u=0, d>=2
+    with pytest.raises(DomainError):
+        SimplexIntegrand(2, (U4[:2], np.zeros(2)))
     with pytest.raises(DomainError):
         SimplexIntegrand(4, (np.array([1.0, 0.0]),))
     with pytest.raises(DomainError):
-        SimplexIntegrand(4, (U4,), eps_shift=-0.1)
-    with pytest.raises(DomainError):
         SimplexIntegrand(4, (U4,), scale_t=0.0)
-    # u = 0 becomes integrable with a positive shift
-    ig = SimplexIntegrand(4, (np.zeros(4),), eps_shift=0.01)
-    assert ig.k == 2
-    # a shifted integrand goes to the tensor rule, which has no rung for
-    # six gaps
+    assert SimplexIntegrand(1, ([0.0],)).k == 2
+    # the integrand carries no shift: the tensor rule takes eps directly,
+    # and has no rung for six gaps
+    assert [f.name for f in dataclasses.fields(SimplexIntegrand)] \
+        == ["d", "u_list", "scale_t"]
     with pytest.raises(CapacityError):
-        gap_reduced_integral(SimplexIntegrand(4, (U4,) * 6, eps_shift=0.01))
+        _log_gap_tensor([1.0] * 6, 4, 0.01, 1e-10)
 
 
 def test_quadrature_spec_validation():
@@ -105,13 +105,16 @@ def test_rel_err_bounds_actual_error():
     u2 = np.array([0.3, -1.2, 0.5, 0.0])
     for ig in (SimplexIntegrand(4, (U4, U4)),
                SimplexIntegrand(4, (U4, u2), scale_t=20.0),
-               SimplexIntegrand(4, (1e-3 * U4, u2)),
-               SimplexIntegrand(4, (U4, np.zeros(4)), eps_shift=0.05)):
+               SimplexIntegrand(4, (1e-3 * U4, u2))):
         res = gap_reduced_integral(ig)
         ref = gap_reduced_integral(ig, full)
         assert abs(math.expm1(res.log_value - ref.log_value)) \
             <= res.rel_err <= 1e-9
         assert not res.warning
+    # the tensor rule with a shift that makes u = 0 integrable
+    got, rel = _log_gap_tensor([1.0, 0.0], 4, 0.05, 1e-10)
+    ref, _ = _log_gap_tensor([1.0, 0.0], 4, 0.05, 1e-300)
+    assert abs(math.expm1(got - ref)) <= rel <= 1e-9
 
 
 def test_laplace_route_matches_tensor_rule_over_a_grid():
@@ -168,9 +171,26 @@ def test_laplace_route_is_finite_or_raises_a_typed_error():
     assert -res.log_value / 3000.0 ** 2 == pytest.approx(12.5, rel=1e-5)
     with pytest.raises(CapacityError):  # e^{-1.1e8} is not a double
         res.value
-    # past |z| ~ 1e9 the Bessel routine has no value
+    # past |z| ~ 1.07e9 the Bessel routine has no value and the Hankel
+    # expansion takes over; at t = 1e6 the peak is lost to rounding
+    for t in (1e4, 1e5):
+        res = gap_reduced_integral(SimplexIntegrand(6, six, scale_t=t))
+        assert math.isfinite(res.log_value) and math.isfinite(res.rel_err)
+        assert -res.log_value / t ** 2 == pytest.approx(12.5, rel=1e-6)
     with pytest.raises(CapacityError):
-        gap_reduced_integral(SimplexIntegrand(6, six, scale_t=1e5))
+        gap_reduced_integral(SimplexIntegrand(6, six, scale_t=1e6))
+
+
+def test_laplace_route_past_the_bessel_limit_matches_tensor_rule():
+    # |z| = 2 sqrt(a_j sigma) passes 1.07e9, where kve gives NaN and the
+    # Hankel expansion of K_nu takes over; the tensor rule has no Bessel
+    # function and agrees to rounding
+    for d in (3, 4):
+        for t in (1e4, 3e4, 1e5):
+            sq = [t * t, 2.0 * t * t]
+            got, _ = _log_gap_laplace(sq, d, 1e-10)
+            want, _ = _log_gap_tensor(sq, d, 0.0, 1e-10)
+            assert abs(got - want) <= 1e-15 * abs(want), (d, t)
 
 
 @pytest.mark.parametrize("k, seed", [(5, 5), (6, 6)])
@@ -252,10 +272,10 @@ def test_ldp_curve_matches_pinned_values(k):
 
 def test_shifted_and_weighted_integrals_match_pinned_values():
     e = np.eye(4)
-    res = gap_reduced_integral(SimplexIntegrand(
-        4, (e[0], [0.3, -1.2, 0.5, 0.0], e[2]), eps_shift=0.02, scale_t=3.0))
-    assert_pinned(res.log_value, res.rel_err,
-                  -63.752991943676996, 2.3715602495724535e-13)
+    sq = [float(np.dot(3.0 * u, 3.0 * u))
+          for u in (e[0], np.array([0.3, -1.2, 0.5, 0.0]), e[2])]
+    log_value, rel = _log_gap_tensor(sq, 4, 0.02, 1e-10)
+    assert_pinned(log_value, rel, -63.752991943676996, 2.3715602495724535e-13)
     f = WeightFunction("abs_power", 0.5)
     for m, want in ((0, 0.010256747461938137), (4, 2.657257223141805),
                     (8, 175.69590818433605)):
@@ -303,12 +323,11 @@ def test_gap_log_integrand_open_grid_oracle():
 
 
 def test_log_integral_fields_are_plain_python_types():
-    for eps in (0.0, 0.05):  # the Laplace route and the tensor rule
-        res = gap_reduced_integral(SimplexIntegrand(4, (U4, U4), eps))
-        assert type(res.log_value) is float
-        assert type(res.rel_err) is float
-        assert type(res.warning) is bool
-        json.dumps(dataclasses.asdict(res))
+    res = gap_reduced_integral(SimplexIntegrand(4, (U4, U4)))
+    assert type(res.log_value) is float
+    assert type(res.rel_err) is float
+    assert type(res.warning) is bool
+    json.dumps(dataclasses.asdict(res))
 
 
 def test_gap_reduction_vs_raw_mc_k2():
@@ -332,9 +351,9 @@ def test_gap_reduction_vs_raw_mc_k4():
 
 def test_eps_shift_semigroup_consistency():
     # shifting every gap variance by eps equals smoothing the kernel
-    det = gap_reduced_integral(SimplexIntegrand(4, (U4,), eps_shift=0.05))
+    det, _ = _log_gap_tensor([1.0], 4, 0.05, 1e-10)
     mc, se = mc_simplex_raw([U4], 4, 400000, seed=5, eps_shift=0.05)
-    assert abs(det.value - mc) <= 3.0 * se
+    assert abs(math.exp(det) - mc) <= 3.0 * se
 
 
 def test_scale_t_suppresses_mass():
@@ -344,7 +363,7 @@ def test_scale_t_suppresses_mass():
 
 
 def test_log_integral_value_property():
-    li = LogIntegral(0.0, 1e-12, "tensor_gauss")
+    li = LogIntegral(0.0, 1e-12, "laplace_inversion")
     assert li.value == 1.0
 
 
