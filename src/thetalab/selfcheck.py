@@ -125,6 +125,32 @@ def _check_energy_minimizer(n_cases):
             f"path energy {energy} vs reported minimum {val}"
 
 
+def _check_box_minimizer(n_cases):
+    rng = np.random.default_rng(4)
+    for _ in range(n_cases):
+        k = int(rng.integers(2, 4))
+        coord = int(rng.integers(0, 4))
+        a = float(rng.uniform(0.2, 2.0))
+        us = [rng.normal(size=4) * (np.arange(4) != coord)
+              for _ in range(k - 1)]
+        lo = np.full(4, -math.inf)
+        lo[coord] = a
+        prog = variational.ConstraintProgram(
+            increments=tuple((None, None, u) for u in us),
+            boxes=(variational.BoxConstraint(1.0, lo=lo),))
+        path, val, _ = variational.minimize_energy(prog)
+        # targets orthogonal to the normal: the climb to a is one more
+        # leg, so the value is (sum |u_j| + a)^2 / 2
+        want = variational.closed_form_inf([*us, a * np.eye(4)[coord]])
+        assert abs(val - want) <= 1e-9 * max(1.0, want), \
+            f"box minimum {val} vs closed form {want}"
+        assert path.knots[-1] == 1.0 and path.values[-1, coord] >= a - 1e-8, \
+            "box minimizer misses the half-space at time 1"
+        energy = variational.path_energy(path)
+        assert abs(energy - val) <= 1e-12 * max(1.0, val), \
+            f"box path energy {energy} vs reported minimum {val}"
+
+
 def _check_slope_fit():
     t = np.array([4.0, 8.0, 12.0, 16.0])
     L, _ = variational.ldp_slope_fit(list(zip(t, 0.5 - 1.0 / t ** 2)))
@@ -168,6 +194,7 @@ def checks_for(tier):
         ("conditioned-residuals", lambda: _check_conditioned_residuals(2000)),
         ("cameron-martin-mean-one", lambda: _check_cm_martingale(20000)),
         ("energy-closed-form", lambda: _check_energy_minimizer(3)),
+        ("box-halfspace-closed-form", lambda: _check_box_minimizer(3)),
         ("slope-fit-exact-model", _check_slope_fit),
         ("support-witness", _check_support),
     ]
@@ -178,6 +205,7 @@ def checks_for(tier):
         ("estimator-duality", lambda: _check_estimator_duality(250000)),
         ("eta-mass-scan-slope", _check_eta_scan),
         ("energy-closed-form-full", lambda: _check_energy_minimizer(10)),
+        ("box-halfspace-closed-form-full", lambda: _check_box_minimizer(10)),
     ]
 
 

@@ -8,10 +8,12 @@ on piecewise-linear paths.  ``minimize_energy`` takes one of two routes:
   (1/2) sum ||u_j||^2 / g_j over the gaps g_j = t_{j+1} - t_j.  On each
   maximal run of free times between two fixed ones (0 and 1 count as
   fixed) Cauchy-Schwarz gives the minimizing gaps, proportional to ||u_j||.
-* With box constraints.  An inner convex QP in the knot values (SLSQP
-  over the path Laplacian).  With the order of the free chain times among
-  the box times fixed, its value is convex in the times (a perspective
-  function): each order is one SLSQP solve, and the best order wins.
+* With box constraints.  An inner convex QP in the knot values at fixed
+  times: the chain knots share one variable per coordinate, and each
+  coordinate is a bounded least-squares problem solved exactly (BVLS).
+  With the order of the free chain times among the box times fixed, its
+  value is convex in the times (a perspective function): each order is
+  one SLSQP solve over the times, and the best order wins.
 
 Between active constraints minimizers are linear, so the piecewise-linear
 ansatz is exact on both routes.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import lsq_linear, minimize
 
 from .errors import ContractError, InfeasibleError
 from .sampler import (TimeGrid, cameron_martin_weight, make_rng,
@@ -168,34 +170,34 @@ def _minimize_increments(slots, u_list, extra_knots):
 def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
     """Inner minimization over knot values at fixed chain times, with boxes.
 
-    A convex QP in the knot values, solved by SLSQP.  Returns
-    (value, path, mu) or raises InfeasibleError; mu[j] is the KKT
-    multiplier of the target u_j (zero for a zero target over a
-    zero-length interval, which holds and is dropped).
+    The chain knots move together, phi(t_j) = phi(t_1) + S_j with S_j the
+    partial target sums, so phi(t_1) is one variable per coordinate, boxed
+    by the intersection of the chain boxes shifted by -S_j; it is pinned to
+    0 when t_1 = 0 and absent without increments.  Every other knot after 0
+    is a variable with its own box.  The energy separates by coordinate
+    into (1/2) |B z - r|^2 under simple bounds, one design B for all
+    coordinates, and each coordinate is solved exactly by bounded-variable
+    least squares (BVLS).  Returns (value, path, mu) or raises
+    InfeasibleError; mu[j] is the KKT multiplier of the target u_j in
+    Q x = A^T mu + nu (Q the path Laplacian, A the target rows, nu the box
+    multipliers), zero for a zero target over a zero-length interval, which
+    holds and is dropped.
     """
     knots = _merge_knots([0.0, 1.0, *chain_times,
                           *(b.time for b in boxes), *extra_knots])
-    n_free = knots.size - 1  # phi(0) = 0 pinned
 
     def idx_of(t):
         return int(np.abs(knots - float(t)).argmin())
 
     idx = np.array([idx_of(t) for t in chain_times], dtype=int)
-
-    # quadratic form on free values: E = 0.5 x^T Q x (per coordinate)
-    dt = np.diff(knots)
-    w = 1.0 / dt
-    Q = (np.diag(np.r_[w, 0.0] + np.r_[0.0, w]) - np.diag(w, 1)
-         - np.diag(w, -1))[1:, 1:]
-
-    # equality constraints: phi(t_{j+1}) - phi(t_j) = u_j
+    if np.any(np.diff(idx) < 0):
+        raise InfeasibleError("fixed chain times decrease",
+                              certificate=tuple(chain_times))
     U = np.array(u_list, dtype=float).reshape(-1, d)
     moves = idx[1:] != idx[:-1]
     if np.any(U[~moves] != 0.0):
         raise InfeasibleError("increment constrained over a zero-length "
                               "interval", certificate=np.flatnonzero(~moves))
-    E = np.eye(knots.size)[:, 1:]
-    A = E[idx[1:][moves]] - E[idx[:-1][moves]]
 
     lo = np.full((knots.size, d), -np.inf)
     hi = np.full((knots.size, d), np.inf)
@@ -210,37 +212,61 @@ def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
         raise InfeasibleError("empty box constraint, or a box at time 0 "
                               "excludes the origin", certificate=(lo, hi))
     lo[0] = hi[0] = 0.0
-    # the chain knots move together, phi(t_j) = phi(t_1) + S_j, so the
-    # knot values are feasible iff some phi(t_1) meets every chain box
+    # the knot values are feasible iff some phi(t_1) meets every chain box
     S = np.cumsum([np.zeros(d), *U], axis=0)
-    gap = np.max(lo[idx] - S, axis=0, initial=-np.inf) \
-        - np.min(hi[idx] - S, axis=0, initial=np.inf)
+    chain_lo = np.max(lo[idx] - S, axis=0, initial=-np.inf)
+    chain_hi = np.min(hi[idx] - S, axis=0, initial=np.inf)
+    gap = chain_lo - chain_hi
     if np.any(gap > _FEAS_TOL):
         raise InfeasibleError("no feasible knot values",
                               certificate=float(gap.max()))
-    lo, hi, U = lo[1:], hi[1:], U[moves]
 
-    def objective(xflat):
-        x = xflat.reshape(n_free, d)
-        return 0.5 * float(np.einsum("id,ij,jd->", x, Q, x)), (Q @ x).ravel()
-
-    cons = [{"type": "eq",
-             "fun": lambda xf: (A @ xf.reshape(n_free, d) - U).ravel(),
-             "jac": lambda xf: np.kron(A, np.eye(d))}]
-    res = minimize(objective, np.zeros(n_free * d), jac=True,
-                   bounds=list(zip(lo.ravel(), hi.ravel())),
-                   constraints=cons, method="SLSQP",
-                   options={"maxiter": 400, "ftol": 1e-14})
-    x = res.x.reshape(n_free, d)
-    residual = max(np.abs(A @ x - U).max(initial=0.0),
+    # knot values x = M z + offset over the variables z
+    own = np.ones(knots.size, dtype=bool)
+    own[0] = False
+    own[idx] = False
+    M = np.eye(knots.size)[:, own]
+    z_lo, z_hi = lo[own], hi[own]
+    offset = np.zeros((knots.size, d))
+    offset[idx] = S
+    if idx.size and idx[0] > 0:  # phi(t_1), unless t_1 = 0 pins it
+        M = np.column_stack([np.isin(np.arange(knots.size), idx), M])
+        z_lo = np.vstack([chain_lo, z_lo])
+        z_hi = np.vstack([chain_hi, z_hi])
+    scale = 1.0 / np.sqrt(np.diff(knots))[:, None]
+    B = scale * np.diff(M, axis=0)
+    r = -scale * np.diff(offset, axis=0)
+    # a variable whose box is a point (or, for phi(t_1), empty within
+    # _FEAS_TOL) sits at its lower bound
+    z = np.where(z_lo >= z_hi, z_lo, 0.0)
+    for c in range(d):
+        free = z_lo[:, c] < z_hi[:, c]
+        if free.any():
+            z[free, c] = lsq_linear(
+                B[:, free], r[:, c] - B[:, ~free] @ z[~free, c],
+                bounds=(z_lo[free, c], z_hi[free, c]), method="bvls").x
+    x = M @ z + offset
+    residual = max(np.abs(np.diff(x[idx], axis=0) - U).max(initial=0.0),
                    np.max(lo - x), np.max(x - hi))
     if residual > _FEAS_TOL:
         raise InfeasibleError(f"no feasible knot values (residual "
                               f"{residual:.3g})", certificate=residual)
-    mu = np.zeros((len(u_list), d))
-    # absent when the bounds fix every value
-    mu[moves] = res.get("multipliers", np.zeros(U.size)).reshape(U.shape)
-    path = PiecewiseLinearPath(knots, np.vstack([np.zeros(d), x]))
+    path = PiecewiseLinearPath(knots, x)
+    # stationarity at chain knot c, once per knot: g_c = (Q x)_c is the
+    # velocity left of c minus right of c, and g_c = mu_in - mu_out + nu_c.
+    # The chain boxes' multipliers sum to the derivative in phi(t_1),
+    # sum_c g_c, carried by the chain box that binds; when t_1 = 0 that is
+    # the first, phi(0) = 0.
+    v = np.diff(x, axis=0) * scale ** 2
+    g = np.vstack([np.zeros(d), v]) - np.vstack([v, np.zeros(d)])
+    g = np.where(np.r_[True, moves][:, None], g[idx], 0.0)
+    nu = np.zeros_like(g)
+    if idx.size:
+        total = g.sum(axis=0)
+        b = np.where(total > 0.0, np.argmax(lo[idx] - S, axis=0),
+                     np.argmin(hi[idx] - S, axis=0))
+        nu[b, np.arange(d)] = total
+    mu = np.cumsum(nu - g, axis=0)[:-1] * moves[:, None]
     # summed per cell, not as x^T Q x, whose large entries from a short
     # cell lose digits to cancellation
     return path_energy(path), path, mu
@@ -353,11 +379,13 @@ def minimize_energy(prog: ConstraintProgram, n_extra_knots=0,
     chain times between fixed ones shares its length in proportion to
     ||u_j||; the value is (1/2) sum ||u_j||^2 / g_j at those times.
     Programs with boxes solve a convex QP in the knot values at given chain
-    times; each order of the free times among the box times is one convex
-    SLSQP solve over those times (``_solve_order``), and the best order
-    gives the value.  A lone box at time 1 is a Schilder set: its minimizer
-    is the straight path on the one cell [0, 1] to the box's point nearest
-    the origin, which ``schilder_empirical_slope`` uses without a solve.
+    times, one exact bounded least-squares solve per coordinate
+    (``_energy_given_times``); each order of the free times among the box
+    times is one convex SLSQP solve over those times (``_solve_order``),
+    and the best order gives the value.  A lone box at time 1 is a
+    Schilder set: its minimizer is the straight path on the one cell
+    [0, 1] to the box's point nearest the origin, which
+    ``schilder_empirical_slope`` uses without a solve.
     ``n_extra_knots`` evenly spaced knots are added to the returned path;
     ``n_restarts`` is ignored, accepted for one more release.  Returns
     (PiecewiseLinearPath, value, diagnostics): ``outer_iterations`` (SLSQP
@@ -407,9 +435,13 @@ def ldp_slope_fit(curve):
     y = np.array([p[1] for p in pts])
     A = np.column_stack([np.ones_like(t), t ** -2.0, t ** -4.0])
     w = t ** 4.0
-    coef, res, rank, _ = np.linalg.lstsq(A * w[:, None], y * w, rcond=None)
+    # unit columns: at large t the weighted columns span many decades
+    Aw = A * w[:, None]
+    norms = np.linalg.norm(Aw, axis=0)
+    coef, res, rank, _ = np.linalg.lstsq(Aw / norms, y * w, rcond=None)
     if rank < 3:
         raise ContractError("degenerate fit matrix")
+    coef = coef / norms
     fitted = A @ coef
     return float(coef[0]), {
         "coefficients": coef.tolist(),

@@ -407,6 +407,28 @@ def test_selfcheck_sabotaged_wick_fails_identity(monkeypatch):
     assert failures == ["wick-identity-element"]
 
 
+def test_selfcheck_sabotaged_box_solve_fails_box_check(monkeypatch):
+    from thetalab import variational
+
+    real = variational.lsq_linear
+
+    def stops_short(A, b, bounds, method):
+        # a box solver that stops a little off the minimum
+        res = real(A, b, bounds=bounds, method=method)
+        res.x = np.clip(res.x + 1e-3, *bounds)
+        return res
+
+    monkeypatch.setattr(variational, "lsq_linear", stops_short)
+    failures = []
+    for name, fn in selfcheck.checks_for("quick"):
+        try:
+            fn()
+        except AssertionError:
+            failures.append(name)
+            break
+    assert failures == ["box-halfspace-closed-form"]
+
+
 def test_selfcheck_runner_reports(capsys):
     ok = selfcheck.run_selfcheck("quick")
     out = capsys.readouterr().out

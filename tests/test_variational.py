@@ -6,12 +6,13 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
+from oracles import slsqp_energy_given_times
 from thetalab.errors import ContractError, InfeasibleError
 from thetalab.variational import (BoxConstraint, ConstraintProgram,
-                                  PiecewiseLinearPath, box_at_one_set,
-                                  closed_form_inf, halfspace_set,
-                                  ldp_slope_fit, minimize_energy,
-                                  path_energy,
+                                  PiecewiseLinearPath, _energy_given_times,
+                                  box_at_one_set, closed_form_inf,
+                                  halfspace_set, ldp_slope_fit,
+                                  minimize_energy, path_energy,
                                   schilder_empirical_slope)
 
 
@@ -175,6 +176,11 @@ def test_box_infeasible_certificates():
     with pytest.raises(InfeasibleError):
         minimize_energy(ConstraintProgram(increments=(
             (0.5, None, u), (None, 0.5, u))))
+    # the box route rejects decreasing fixed times as well
+    with pytest.raises(InfeasibleError):
+        minimize_energy(ConstraintProgram(
+            increments=((0.5, 0.7, u), (0.7, 0.3, u)),
+            boxes=(BoxConstraint(0.6, lo=[0.0]),)))
 
 
 def _halfspace_at_one(d, coord, a):
@@ -261,6 +267,108 @@ def test_box_program_zero_target_meets_interior_box():
     assert diag["converged"]
 
 
+def _fixed_time_program(rng):
+    """A feasible box program at fixed chain times, d <= 4, k <= 4.
+
+    Targets and boxes are read off a random reference path, so the
+    reference meets every constraint.  Boxes sit at random times, at time 1
+    and at chain knots; a side is infinite, at some distance, or (off the
+    chain knots) through the reference value.  A box at a chain knot keeps
+    its sides off the reference, so at most one chain box binds and the
+    target multipliers are unique.
+    """
+    d, k = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+    chain = np.sort(rng.uniform(0.0, 1.0, k))
+    if rng.random() < 0.25:
+        chain[0] = 0.0
+    box_times = [*rng.uniform(0.0, 1.0, int(rng.integers(0, 3)))]
+    if rng.random() < 0.5:
+        box_times.append(1.0)
+    if rng.random() < 0.5:
+        box_times.append(float(rng.choice(chain)))
+    times = np.unique(np.r_[0.0, chain, box_times, 1.0])
+    steps = (rng.normal(size=(times.size - 1, d))
+             * np.sqrt(np.diff(times))[:, None])
+    ref = np.cumsum(np.vstack([np.zeros(d), steps]), axis=0)
+
+    def at(t):
+        return ref[np.searchsorted(times, t)]
+
+    def side(on_chain):
+        c = rng.random(d)
+        s = np.where(c < 0.3, np.inf, rng.exponential(0.3, d))
+        return s if on_chain else np.where(c > 0.8, 0.0, s)
+
+    boxes = []
+    for t in box_times:
+        on_chain = bool(np.any(chain == t))
+        boxes.append(BoxConstraint(float(t), lo=at(t) - side(on_chain),
+                                   hi=at(t) + side(on_chain)))
+    us = [at(b) - at(a) for a, b in zip(chain, chain[1:])]
+    return chain, us, tuple(boxes), d
+
+
+def _named_fixed_time_programs():
+    e1, e2 = np.eye(2)
+    inf = math.inf
+    # a box at a chain knot that binds: w(0.5)_1 >= 1.3 lifts w(0.2)_1 to 0.3
+    yield "box-at-chain-knot", ((0.2, 0.5, 0.9), [e1, e2],
+                                (BoxConstraint(0.5, lo=[1.3, -inf]),), 2)
+    # t_1 = 0: the chain is pinned at the origin
+    yield "t1-zero", ((0.0, 0.4, 0.8), [e1, -e2],
+                      (BoxConstraint(0.7, hi=[inf, -0.9]),
+                       BoxConstraint(1.0, lo=[1.2, -inf])), 2)
+    # a zero target over a zero-length interval and over a positive one
+    yield "zero-targets", ((0.1, 0.4, 0.4, 0.6, 0.9),
+                           [e1, np.zeros(2), np.zeros(2), e2],
+                           (BoxConstraint(0.5, lo=[-inf, 0.6]),), 2)
+    # boxes with no increments
+    yield "boxes-only", ((), [], (BoxConstraint(0.3, lo=[0.5, -inf]),
+                                  BoxConstraint(1.0, hi=[-0.2, 0.1])), 2)
+    # a lone box at time 1: the straight path to (0.5, 0)
+    yield "lone-box-at-one", ((), [], (BoxConstraint(1.0, lo=[0.5, -inf]),),
+                              2)
+
+
+def test_inner_solve_matches_slsqp_oracle():
+    # the per-coordinate BVLS solve against one generic SLSQP solve over
+    # every knot value, on 50 random programs and five named ones
+    rng = np.random.default_rng(20)
+    cases = [*(_fixed_time_program(rng) for _ in range(50)),
+             *(args for _, args in _named_fixed_time_programs())]
+    for chain, us, boxes, d in cases:
+        want, want_path, want_mu = slsqp_energy_given_times(chain, us,
+                                                            boxes, d)
+        val, path, mu = _energy_given_times(chain, us, boxes, d)
+        assert val == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert path_energy(path) == val
+        assert np.array_equal(path.knots, want_path.knots)
+        # the minimizer is unique: the energy is strictly convex in the
+        # knot values after 0
+        assert np.allclose(path.values, want_path.values, rtol=0.0,
+                           atol=1e-6)
+        assert np.allclose(mu, want_mu, rtol=1e-6, atol=1e-6)
+    named = dict(_named_fixed_time_programs())
+    assert _energy_given_times(*named["lone-box-at-one"])[0] == 0.125
+
+
+def test_inner_solve_multipliers_are_target_sensitivities():
+    # mu_j is dV/du_j: central differences in every target coordinate
+    rng = np.random.default_rng(21)
+    h = 1e-6
+    for _ in range(8):
+        chain, us, boxes, d = _fixed_time_program(rng)
+        _, _, mu = _energy_given_times(chain, us, boxes, d)
+        for j, c in np.ndindex(mu.shape):
+            vals = []
+            for step in (h, -h):
+                moved = [u.copy() for u in us]
+                moved[j][c] += step
+                vals.append(_energy_given_times(chain, moved, boxes, d)[0])
+            fd = (vals[0] - vals[1]) / (2 * h)
+            assert fd == pytest.approx(mu[j, c], rel=1e-6, abs=1e-6)
+
+
 def test_box_program_infeasible_in_every_order():
     # w(1) = 2 whatever t_2 is, above the box's 1.5
     with pytest.raises(InfeasibleError):
@@ -286,6 +394,13 @@ def test_ldp_slope_fit_exact_models():
         got, diag = ldp_slope_fit(list(zip(t, y)))
         assert got == pytest.approx(L, abs=1e-10)
         assert diag["max_residual"] <= 1e-10
+    # large t: the t^4 row weights span many decades, which the column
+    # scaling keeps from lowering the rank of the weighted design
+    for t in ([1500.0, 3000.0, 6000.0], [10.0, 100.0, 1e4],
+              [4.0, 8.0, 12.0, 16.0, 20.0], [10.0, 20.0, 40.0, 80.0, 160.0]):
+        t = np.array(t)
+        got, _ = ldp_slope_fit(list(zip(t, 12.5 + 1 / t ** 2 + 3 / t ** 4)))
+        assert got == pytest.approx(12.5, rel=6e-12)
     with pytest.raises(ContractError):
         ldp_slope_fit([(1.0, 0.5), (2.0, 0.4)])
     with pytest.raises(ContractError):
