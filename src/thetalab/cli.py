@@ -27,11 +27,10 @@ from .chaos import (IncrementSpec, SobolevIndex, delta_increment_norm_sq,
                     delta_increment_spectrum, sobolev_norm_sq)
 from .errors import (CapacityError, ContractError, DomainError,
                      InfeasibleError)
-from .estimators import (WeightFunction, eta_mass_scan,
-                         eta_pairing_correlated, eta_pairing_independent,
-                         make_payoff, pairing_bridge, pairing_epsilon)
+from .estimators import (WeightFunction, eta_mass_scan, make_payoff,
+                         pairing_bridge, pairing_epsilon)
 from .selfcheck import run_selfcheck
-from .simplexquad import (QuadratureSpec, SimplexIntegrand,
+from .simplexquad import (QuadratureSpec, SimplexIntegrand, eta_log_integral,
                           gap_reduced_integral, ldp_mass_curve)
 from .variational import (BoxConstraint, ConstraintProgram, ldp_slope_fit,
                           minimize_energy, schilder_empirical_slope)
@@ -310,10 +309,6 @@ SCHEMAS = {
         "f": (_v_weight, True),
         "variant": (_v_enum("independent", "correlated"), True),
         "r": (_v_num(lo=0.0, hi=1.0, strict_lo=True), False),
-        "s_pair": (_v_num_list(lo=0.0, increasing=True, min_len=2,
-                               max_len=2), False),
-        "n_outer": (_v_int(lo=2), False),
-        "n_inner": (_v_int(lo=1), False),
     },
     "chaos-norm": {
         "d": (_v_int(lo=1), True),
@@ -349,7 +344,7 @@ SCHEMAS = {
 }
 
 # Monte Carlo commands must be seeded; the rest may omit the seed.
-MC_COMMANDS = {"pairing", "eta", "schilder"}
+MC_COMMANDS = {"pairing", "schilder"}
 
 
 def parse_config(text):
@@ -418,13 +413,10 @@ def _cross_validate(command, p):
     if command == "chaos-norm" and not p["s"] < p["t"]:
         errs.append("t: need s < t")
     if command == "eta" and p["variant"] == "correlated":
-        for name in ("r", "s_pair"):
-            if name not in p:
-                errs.append(f"{name}: required for variant 'correlated'")
-        if "r" in p and not p["r"] < 1.0:
+        if "r" not in p:
+            errs.append("r: required for variant 'correlated'")
+        elif not p["r"] < 1.0:
             errs.append("r: must lie strictly inside (0, 1)")
-        if "s_pair" in p and p["s_pair"][-1] > 1.0:
-            errs.append("s_pair: window must lie inside [0, 1]")
     if command == "rate-min":
         if not p.get("increments") and not p.get("boxes"):
             errs.append("increments: program needs increments or boxes")
@@ -506,19 +498,20 @@ def _run_pairing(p, seed):
 
 
 def _run_eta(p, seed):
+    # the pairing with F1 = F2 = 1: the integral over the gap g of p_g(u)
+    # M(g), M(g) = E f(beta increment); in the correlated variant that
+    # increment has mean r u_1 and variance (1 - r^2) g
     f = WeightFunction(p["f"]["family"], p["f"]["param"])
-    n_outer = p.get("n_outer", 200000)
-    n_inner = p.get("n_inner", 1)
-    if p["variant"] == "independent":
-        est = eta_pairing_independent(None, None, f, p["u"], p["d"],
-                                      n_outer, n_inner, seed)
-    else:
-        est = eta_pairing_correlated(None, None, f, p["u"], p["d"],
-                                     p["r"], p["s_pair"], n_outer, n_inner,
-                                     seed)
-    rows = [{"method": est.method, "value": est.value,
-             "stderr": est.stderr, "n": est.n_samples}]
-    return {}, ("method", "value", "stderr", "n"), rows, False
+    moment = f.gaussian_moment
+    if p["variant"] == "correlated":
+        r, u1 = p["r"], p["u"][0]
+
+        def moment(g):
+            return f.gaussian_moment((1.0 - r * r) * g, mean=r * u1)
+    res = eta_log_integral(p["u"], p["d"], moment)
+    rows = [{"value": res.value, "stderr": res.rel_err * res.value,
+             "method": res.method}]
+    return {}, ("value", "stderr", "method"), rows, res.warning
 
 
 def _run_chaos_norm(p, seed):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import ndtr
+from scipy.special import hyp1f1, log_ndtr, ndtr
 
 from .errors import ContractError, DomainError
 from .kernels import log_heat_kernel_sq
@@ -138,10 +138,6 @@ def make_payoff(payoff_id, params=None):
     return factory(**params)
 
 
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(96)
-_GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """Square-Gaussian-integrable weight f of the 1-d increment.
@@ -172,21 +168,38 @@ class WeightFunction:
         return np.exp(self.param * np.abs(x))
 
     def gaussian_moment(self, var, mean=0.0):
-        """E[f(mean + sqrt(var) Z)], Z standard normal.
+        """E[f(mean + sqrt(var) Z)], Z standard normal, in closed form.
 
-        Closed forms where elementary, 96-point Gauss-Hermite otherwise.
+        |x|^p: c_p var^{p/2} 1F1(-p/2; 1/2; -z) with z = mean^2/(2 var)
+        and c_p = 2^{p/2} Gamma((p+1)/2)/sqrt(pi) (Winkelbauer,
+        arXiv:1209.4340); past z = 1e8, where var^{p/2} and 1F1 leave the
+        doubles first, its series |mean|^p (1 + p(p-1)/(4z) +
+        p(p-1)(p-2)(p-3)/(32 z^2)).  e^{a|x|}: over the two half-lines,
+        sum_+- e^{+-a mean + a^2 var/2} Phi(+-mean/sqrt(var) + a sqrt(var)),
+        with Phi taken in logs.
         """
         var = np.asarray(var, dtype=float)
         if self.family == "one":
             return np.ones_like(var)
         if self.family == "indicator_pos":
             return ndtr(mean / np.sqrt(var))
-        if self.family == "abs_power" and mean == 0.0:
+        if self.family == "abs_power":
             p = self.param
-            return (2.0 * var) ** (p / 2.0) \
-                * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
-        x = mean + np.sqrt(var)[..., None] * _GH_NODES
-        return np.sum(self(x) * _GH_WEIGHTS, axis=-1)
+            if mean == 0.0:
+                return (2.0 * var) ** (p / 2.0) \
+                    * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
+            z = mean * mean / (2.0 * var)
+            with np.errstate(over="ignore", under="ignore",
+                             invalid="ignore"):
+                near = (2.0 * var) ** (p / 2.0) * hyp1f1(-p / 2.0, 0.5, -z) \
+                    * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
+            t = 1.0 / (4.0 * z)
+            far = abs(mean) ** p * (1.0 + p * (p - 1.0) * t
+                                    * (1.0 + (p - 2.0) * (p - 3.0) * t / 2.0))
+            return np.where(z > 1e8, far, near)
+        a, sd = self.param, np.sqrt(var)
+        return sum(np.exp(a * m + a * a * var / 2.0
+                          + log_ndtr(m / sd + a * sd)) for m in (mean, -mean))
 
 
 def _check_u_list(u_list, d):
@@ -495,18 +508,24 @@ def eta_pairing_correlated_direct(F1, F2, f: WeightFunction, u, d, r,
 
 
 def eta_mass_scan(f: WeightFunction, d, u_norms, q=None):
-    """Total masses along a decreasing ||u|| scan plus log-log slope fit."""
-    from .simplexquad import eta_mass_integral
+    """Total masses along a decreasing ||u|| scan plus log-log slope fit.
+
+    All masses come from one vectorised call of the 1-d rule; the slope is
+    fitted on their logs.  A mass outside the double range, or divergent,
+    raises a CapacityError.
+    """
+    from .simplexquad import LogIntegral, QuadratureSpec, _log_eta_1d
 
     u_norms = [float(x) for x in u_norms]
     if any(b >= a for a, b in zip(u_norms, u_norms[1:])):
         raise ContractError("u_norms must be strictly decreasing")
-    masses = []
-    for norm in u_norms:
-        u = np.zeros(d)
-        u[0] = norm
-        masses.append(eta_mass_integral(u, d, f.gaussian_moment, q))
-    slope = float(np.polyfit(np.log(u_norms), np.log(masses), 1)[0])
+    if u_norms[-1] <= 0.0:
+        raise DomainError("u_norms must be positive")
+    tol = min((q or QuadratureSpec()).target_rel_err, 1e-10)
+    logs, rels = _log_eta_1d(np.square(u_norms), d, f.gaussian_moment, tol)
+    masses = [LogIntegral(float(v), float(e), "quadrature").value
+              for v, e in zip(logs, rels)]
+    slope = float(np.polyfit(np.log(u_norms), logs, 1)[0])
     return list(zip(u_norms, masses)), slope
 
 

@@ -9,6 +9,7 @@ that consumes them).
 import math
 
 import numpy as np
+from scipy.special import gamma, gammaincc
 
 from . import chaos, estimators, kernels, sampler, simplexquad, variational
 
@@ -178,9 +179,22 @@ def _check_estimator_duality(budget):
 
 
 def _check_eta_scan():
-    f = estimators.WeightFunction("abs_power", 0.5)
-    _, slope = estimators.eta_mass_scan(f, 4, [2.0 ** -m for m in range(6)])
-    assert slope >= -2.6, f"eta mass scan slope {slope} below -2.6"
+    # at d = 4 the |x|^p weight has M(g) = c_p g^{p/2}, and the mass at
+    # a = |u|^2/2 is c_p (2 pi)^{-2} [a^{p/2-1} G(1-p/2, a) - a^{p/2}
+    # G(-p/2, a)] with c_p = 2^{p/2} Gamma((p+1)/2)/sqrt(pi), G the upper
+    # incomplete gamma function and G(s, a) = (G(s+1, a) - a^s e^{-a})/s
+    p, s = 0.5, -0.25
+    f = estimators.WeightFunction("abs_power", p)
+    pairs, _ = estimators.eta_mass_scan(f, 4, [2.0 ** -m for m in range(6)])
+    c = 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    for norm, mass in pairs:
+        a = norm * norm / 2.0
+        upper = gammaincc(s + 1.0, a) * gamma(s + 1.0)
+        lower = (upper - a ** s * math.exp(-a)) / s
+        want = c * (a ** (-s - 1.0) * upper - a ** -s * lower) \
+            / (2.0 * math.pi) ** 2
+        assert abs(mass - want) <= 1e-10 * want, \
+            f"eta mass {mass} vs closed form {want} at ||u||={norm}"
 
 
 def checks_for(tier):
@@ -203,7 +217,7 @@ def checks_for(tier):
     return quick + [
         ("wick-norm-inequality-full", lambda: _check_wick_inequality(1000)),
         ("estimator-duality", lambda: _check_estimator_duality(250000)),
-        ("eta-mass-scan-slope", _check_eta_scan),
+        ("eta-mass-closed-form", _check_eta_scan),
         ("energy-closed-form-full", lambda: _check_energy_minimizer(10)),
         ("box-halfspace-closed-form-full", lambda: _check_box_minimizer(10)),
     ]

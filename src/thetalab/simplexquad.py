@@ -7,9 +7,9 @@ variables g_j = t_{j+1} - t_j turns these into integrals over
 the slack factor accounts for the free translation of t_1.  At eps = 0 that
 is the Laplace convolution of the kernels and the slack at time 1, found by
 one Bromwich integral for any k (:func:`gap_reduced_integral`); the
-moment-weighted k = 2 integral of :func:`eta_mass_integral` goes to a tensor
-rule on the gap simplex, which also takes a shift eps > 0.  All kernel
-products are accumulated as sums of logs; at large scale factors the
+moment-weighted k = 2 integral of :func:`eta_mass_integral` has one gap and
+goes to a 1-d Gauss-Legendre rule in log g, vectorised over targets.  All
+kernel products are accumulated as sums of logs; at large scale factors the
 integrand magnitudes fall to e^{-200} and below.
 """
 
@@ -18,20 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, trapezoid
+from scipy.integrate import quad
 from scipy.special import kve
 
 from .errors import CapacityError, ContractError, DomainError
 from .kernels import log_heat_kernel, log_heat_kernel_sq
 
-# Gauss-Legendre nodes per side of the peak on each axis, tried in turn while
-# the tensor grid has at most _MAX_NODES nodes, evaluated _CHUNK at a time.
-_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
-_MAX_NODES = 2 ** 21
-_CHUNK = 2 ** 13
-_CUT = 45.0        # an axis ends where log f is _CUT below its peak
-_Y_MARGIN = 60.0   # y = log s is searched down to log(|u|^2/d + eps) - this
+_CUT = 45.0        # a panel ends where log f is _CUT below its peak
+_Y_MARGIN = 60.0   # y = log g is searched down to log(|u|^2/d) - this
 _Y_FLOOR = -700.0  # ... and never below this
+_ZOOM = 33         # nodes of each of the two grids of the peak search
+_STEPS = 48        # geometric steps from the peak to each cut
+_N_GL = (16, 2048)  # Gauss-Legendre nodes per panel: first and last rule
 # built on first use and shared: callers must not write to the arrays
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 # the Bromwich contour: trapezoid nodes on [0, Y] of the first and the last
@@ -104,145 +102,90 @@ class LogIntegral:
         return math.exp(self.log_value)
 
 
-def _gap_log_integrand(sq, d, eps, log_moment=None):
-    """log of the gap integrand on the cube, as a function of y = log s.
+def _log_eta_1d(sq, d, f_moment, tol):
+    """(log values, relative errors) of int_0^1 (1 - g) p_g(u) M(g) dg.
 
-    Stick-breaking (the Duffy transform, SIAM J. Numer. Anal. 19 (1982))
-    maps s in (0, 1)^m onto the gaps, g_j = s_j prod_{i<j} (1 - s_i), with
-    slack prod_i (1 - s_i).  Slack, Jacobian and ds = s dy give the log
-    weight sum_i [y_i + (m - i + 1) log(1 - s_i)], i from 1.
-    ``log_moment`` adds a log factor of the first gap (eps = 0 there).
-
-    ``logf`` takes an open grid (``np.ix_``): y_i along axis i, of length 1
-    on the others.  Gap j uses axes 0..j; only the last spans the grid.
+    One entry per |u|^2 in ``sq``, all computed at once; ``f_moment`` maps
+    an array of gaps g to M(g).  In y = log g the integrand is smooth and
+    falls off on both sides of one peak.  The peak is found by a zoom: a
+    first grid of _ZOOM nodes, uniform in y and in g so that peaks near g =
+    0 and near g = 1 are bracketed, then one of _ZOOM nodes across the best
+    node's neighbours.  The rule needs no closer peak: the panels may split
+    anywhere near it.  On each side the panel ends at the first of
+    _STEPS geometric steps where log f is _CUT below the peak, or at the
+    end.  Relative to the integral, the mass cut off on a side is at most f
+    at the cut times the cut length, over the trapezoid integral of f
+    between the cuts; below y = lo, f decays at least like e^{y/2}.
+    Gauss-Legendre on the two panels doubles its nodes from _N_GL[0] until
+    two values agree to ``tol`` or _N_GL[1] is reached.  The error is their
+    relative difference plus the cut bound plus the rounding of the log
+    terms, which grows with |y|.  A moment infinite at the peak gives +inf.
     """
-    def logf(y):
-        out = log_run = 0.0  # log_run: sum over i < j of log(1 - s_i)
-        for j, (y_j, sq_j) in enumerate(zip(y, sq)):
-            g = np.maximum(np.exp(y_j + log_run), np.finfo(float).tiny) + eps
-            log1m = np.log(-np.expm1(y_j))
-            with np.errstate(over="ignore"):  # |u|^2/g = inf: the kernel is 0
-                out = out + (y_j + (len(sq) - j) * log1m) \
-                    + log_heat_kernel_sq(sq_j, g, d)
-            if j == 0 and log_moment is not None:
-                out = out + log_moment(g)
-            log_run = log_run + log1m
-        return out
-
-    return logf
-
-
-def _locate_peak(logf, lo):
-    """Maximiser and maximum of ``logf`` on prod_i [lo_i, 0), by grid zoom.
-
-    The first grid per axis is uniform in y and in s = e^y, so that peaks
-    near s = 0 and near s = 1 are bracketed; each later grid spans the
-    neighbours of the best node at a quarter of the spacing.  ``logf`` runs
-    on the open grid of the axes.
-    """
-    axes = [np.unique(np.concatenate([
-        np.linspace(a, -1e-12, 10),
-        np.log(np.linspace(math.exp(a), 1.0 - 1e-12, 10))])) for a in lo]
-    for _ in range(24):
-        grid, vals = axes, logf(np.ix_(*axes))
-        best = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        axes = [np.linspace(ax[max(i - 1, 0)], ax[min(i + 1, ax.size - 1)],
-                            9) for ax, i in zip(axes, best)]
-    return np.array([ax[i] for ax, i in zip(grid, best)]), float(vals.max())
-
-
-def _axis_cuts(logf, peak, top, lo):
-    """Per-axis intervals around the peak, and a bound on what they cut.
-
-    Along each axis through the peak, the interval ends at the first of 64
-    geometric steps where ``logf`` is _CUT below ``top``, or at the axis
-    end.  For a product of unimodal axis profiles the mass cut, relative to
-    the integral, is at most the end value over ``top`` times the cut length
-    over the profile's width (its integral over ``top``); below ``lo`` the
-    integrand decays at least like e^{y/2}.  A profile is ``logf`` on an
-    open grid whose other axes are the peak's coordinates, of length 1.
-    """
-    steps = np.geomspace(1e-12, 1.0, 64)
-    cuts, bound = [], 0.0
-    for i, (p, a) in enumerate(zip(peak, lo)):
-        ys = np.concatenate([p - steps[::-1] * (p - a), [p], p - steps * p])
-        axes = [ys if j == i else peak[j:j + 1] for j in range(peak.size)]
-        with np.errstate(divide="ignore"):  # log(1 - s) at s = 1
-            prof = logf(np.ix_(*axes)).ravel() - top
-        ia = max(np.flatnonzero(prof[:64] < -_CUT), default=0)
-        ib = min(np.flatnonzero(prof[65:] < -_CUT), default=63) + 65
-        width = trapezoid(np.exp(prof[ia:ib + 1]), ys[ia:ib + 1])
-        bound += (math.exp(prof[ia]) * (ys[ia] - a + 2.0)
-                  - math.exp(prof[ib]) * ys[ib]) / width
-        cuts.append((ys[ia], ys[ib]))
-    return cuts, bound
-
-
-def _log_sum_exp(a):
-    """log sum exp(a) by the max shift; -inf for an all -inf ``a``."""
-    top = np.max(a)
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + np.log(np.sum(np.exp(a - top))))
-
-
-def _log_gap_tensor(sq, d, eps, tol, log_moment=None):
-    """(log value, relative error) of the gap-simplex integral.
-
-    A tensor Gauss-Legendre rule in y = log s of the stick-breaking cube,
-    n nodes per axis on each side of the peak within :func:`_axis_cuts`.
-    n grows along _LADDER until two successive values agree to ``tol``;
-    the error is their relative difference plus the cut bound plus the
-    rounding of the log terms.  A moment infinite at the peak search gives
-    +inf.  Each rule is summed over open grids of about _CHUNK nodes (rows
-    of the first axis), never over the full grid.
-
-    The error is under-reported when one |u_j|^2 is 1e4-1e21 times another:
-    at d = 4, |u|^2 = 1.676e5 and 1.676e-16 it gives log I 1.35 below the
-    Laplace route's -83794.0818 with an error of 8.7e-10, and at d = 3,
-    |u|^2 = 36.41 and 2.65e-8 it is 4e-7 off with 8e-11.  No library route
-    reaches that case: :func:`eta_mass_integral`, its one caller, has one
-    gap.
-    """
-    sq = np.asarray(sq, dtype=float)
-    if (2 * _LADDER[0]) ** sq.size > _MAX_NODES:
-        raise CapacityError(f"{sq.size} gaps exceed the tensor rule's "
-                            f"{_MAX_NODES} nodes")
-    with np.errstate(divide="ignore"):
-        lo = np.log(sq / d + eps) - _Y_MARGIN
+    sq = np.atleast_1d(np.asarray(sq, dtype=float))
+    lo = np.log(sq / d) - _Y_MARGIN
     if d >= 2 and np.any(lo < _Y_FLOOR):
         raise DomainError(
-            "increment target too small for the gap quadrature: |u|^2/d + "
-            f"eps = {np.min(sq / d + eps):.3g} < e^{_Y_FLOOR + _Y_MARGIN:g}")
+            "increment target too small for the gap quadrature: |u|^2/d = "
+            f"{np.min(sq / d):.3g} < e^{_Y_FLOOR + _Y_MARGIN:g}")
     lo = np.maximum(lo, _Y_FLOOR)
-    logf = _gap_log_integrand(sq, d, eps, log_moment)
-    peak, top = _locate_peak(logf, lo)
-    if top == math.inf:
-        return top, 0.0
-    if not math.isfinite(top):
-        raise CapacityError("gap integrand underflows everywhere")
-    cuts, cut_err = _axis_cuts(logf, peak, top, lo)
-    a, b = np.transpose(cuts)  # per axis: panels [a, p] and [p, b]
-    start = np.stack([a, peak], -1)[..., None]
-    half = 0.5 * np.stack([peak - a, b - peak], -1)[..., None]
-    prev = diff = math.inf
-    for n in _LADDER:
-        if (2 * n) ** sq.size > _MAX_NODES:
-            break
+
+    def logf(y, rows):  # y has one row per entry of ``rows``
+        g = np.exp(y)
+        with np.errstate(divide="ignore", over="ignore"):  # f = 0 at g = 1
+            return y + np.log(-np.expm1(y)) \
+                + log_heat_kernel_sq(sq[rows, None], g, d) \
+                + np.log(np.maximum(f_moment(g), 0.0))
+
+    rows = np.arange(sq.size)
+    grid = np.sort(np.concatenate([
+        np.linspace(lo, -1e-12, _ZOOM // 2 + 1, axis=-1),
+        np.log(np.linspace(np.exp(lo), 1.0 - 1e-12, _ZOOM // 2 + 1,
+                           axis=-1)[:, 1:])], axis=1), axis=1)
+    for _ in range(2):
+        vals = logf(grid, rows)
+        i = np.argmax(vals, axis=1)
+        peak, top = grid[rows, i], vals[rows, i]
+        grid = np.linspace(grid[rows, np.maximum(i - 1, 0)],
+                           grid[rows, np.minimum(i + 1, _ZOOM - 1)], _ZOOM,
+                           axis=-1)
+    if not np.all(top > -math.inf):  # NaN too
+        raise CapacityError("eta integrand underflows everywhere")
+    out, err = np.full(sq.size, math.inf), np.zeros(sq.size)
+    rows = np.flatnonzero(top < math.inf)
+    p, top, a = peak[rows, None], top[rows, None], lo[rows, None]
+    steps = np.geomspace(1e-12, 1.0, _STEPS)
+    ys = np.concatenate([p - steps[::-1] * (p - a), p, p - steps * p], 1)
+    prof = logf(ys, rows) - top
+    below, above = prof[:, :_STEPS] < -_CUT, prof[:, _STEPS + 1:] < -_CUT
+    ia = np.where(below.any(1), _STEPS - 1 - np.argmax(below[:, ::-1], 1), 0)
+    ib = _STEPS + 1 + np.where(above.any(1), np.argmax(above, 1), _STEPS - 1)
+    r = np.arange(rows.size)
+    ya, yb, e = ys[r, ia], ys[r, ib], np.exp(prof)
+    j = np.arange(2 * _STEPS)
+    width = np.sum(np.where((j >= ia[:, None]) & (j < ib[:, None]),
+                            (e[:, :-1] + e[:, 1:]) * np.diff(ys) / 2.0, 0.0),
+                   axis=1)
+    cut = (e[r, ia] * (ya - a[:, 0] + 2.0) - e[r, ib] * yb) / width
+    # per row: panels [ya, p] and [p, yb]
+    start = np.stack([ya, p[:, 0]], 1)[..., None]
+    half = 0.5 * np.stack([p[:, 0] - ya, yb - p[:, 0]], 1)[..., None]
+    live, n, prev = r, _N_GL[0], np.full(rows.size, math.inf)
+    while live.size:
         x, w = _gauss_legendre(n)
-        nodes = (start + half * (x + 1.0)).reshape(sq.size, -1)
+        nodes = (start[live] + half[live] * (x + 1.0)).reshape(live.size, -1)
         with np.errstate(divide="ignore"):  # a panel of length 0
-            logw = np.log(half * w).reshape(sq.size, -1)
-        rows = max(1, _CHUNK // (2 * n) ** (sq.size - 1))
-        cur = _log_sum_exp(np.array([
-            _log_sum_exp(logf(np.ix_(nodes[0, r:r + rows], *nodes[1:]))
-                         + sum(np.ix_(logw[0, r:r + rows], *logw[1:])))
-            for r in range(0, 2 * n, rows)]))
-        diff = abs(math.expm1(cur - prev))
-        if diff <= tol:
-            break
-        prev = cur
-    return cur, diff + cut_err + 16.0 * np.finfo(float).eps * (1 + abs(cur))
+            logw = np.log(half[live] * w).reshape(live.size, -1)
+        cur = top[live, 0] + np.log(np.sum(
+            np.exp(logf(nodes, rows[live]) + logw - top[live]), axis=1))
+        diff = np.abs(np.expm1(cur - prev[live]))
+        done = (diff <= tol) | (n >= _N_GL[1])
+        fin = live[done]
+        out[rows[fin]] = cur[done]
+        err[rows[fin]] = diff[done] + cut[fin] + 16.0 * np.finfo(float).eps \
+            * (1.0 + np.abs(cur[done]) - ya[fin])
+        prev[live] = cur
+        live, n = live[~done], 2 * n
+    return out, err
 
 
 def _log_bromwich(sq, d, sigma, y):
@@ -441,23 +384,29 @@ def ldp_mass_curve(u_list, d, t_grid, q: QuadratureSpec = None):
     return out
 
 
-def eta_mass_integral(u, d, f_moment, q: QuadratureSpec = None):
-    """Double integral over Delta_2 of p^d_{t2-t1}(u) E[f(beta increment)].
+def eta_log_integral(u, d, f_moment, q: QuadratureSpec = None):
+    """log of the double integral over Delta_2 of p^d_{t2-t1}(u) M(t2-t1).
 
-    ``f_moment`` maps an array of gap lengths to the Gaussian moments of f;
-    with f == 1 this collapses to m(u, d).  A divergent moment yields +inf.
+    ``f_moment`` maps an array of gap lengths g to M(g), the Gaussian
+    moment E[f(beta increment)]; with M == 1 this is the mass m(u, d).  A
+    divergent moment gives log_value +inf.  An error estimate above the
+    target relative error sets the warning flag.
     """
     if q is None:
         q = QuadratureSpec()
     u = np.atleast_1d(np.asarray(u, dtype=float))
     sq = float(u @ u)
     if sq == 0.0:
-        raise DomainError("eta mass requires u != 0")
+        raise DomainError("eta mass requires |u|^2 > 0: u = 0 or |u|^2 "
+                          "underflows")
+    [log_value], [rel] = _log_eta_1d([sq], d, f_moment,
+                                     min(q.target_rel_err, 1e-10))
+    return LogIntegral(float(log_value), float(rel), "quadrature",
+                       warning=bool(rel > q.target_rel_err))
 
-    def log_moment(g):
-        with np.errstate(divide="ignore"):
-            return np.log(np.maximum(f_moment(g), 0.0))
 
-    log_value, _ = _log_gap_tensor([sq], d, 0.0, min(q.target_rel_err, 1e-10),
-                                   log_moment)
-    return math.exp(log_value)
+def eta_mass_integral(u, d, f_moment, q: QuadratureSpec = None):
+    """The value of :func:`eta_log_integral`: +inf for a divergent moment,
+    a CapacityError where it leaves the double range otherwise."""
+    res = eta_log_integral(u, d, f_moment, q)
+    return math.inf if res.log_value == math.inf else res.value

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import kve
 
-from thetalab import cli, selfcheck
+from thetalab import cli, selfcheck, simplexquad
 from thetalab.cli import (ConfigError, EXIT_DOMAIN, EXIT_INFEASIBLE,
                           EXIT_OK, EXIT_WARNING, ExperimentConfig,
                           config_hash, emit_config, execute, main,
@@ -292,6 +292,47 @@ def test_schilder_cli_rows_and_unknown_n_cells(tmp_path, capsys):
     assert "set.coord" in capsys.readouterr().err
 
 
+def test_eta_is_seedless_quadrature(tmp_path, capsys, monkeypatch):
+    # the 1-d integral needs no seed and no sample counts; s_pair only ever
+    # reached F1, which the CLI never sets
+    doc = {"command": "eta", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],
+           "f": {"family": "abs_power", "param": 0.5},
+           "variant": "correlated", "r": 0.6, "format": "json"}
+    path = write(tmp_path, "e.json", doc)
+    assert main(["eta", "--config", path, "--strict"]) == EXIT_OK
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["method"] == "quadrature" and row["value"] > 0.0
+    for extra in ({"n_outer": 100}, {"n_inner": 2}, {"s_pair": [0.1, 0.2]}):
+        bad = write(tmp_path, "x.json", dict(doc, **extra))
+        assert main(["eta", "--config", bad]) == EXIT_DOMAIN
+        assert f"{next(iter(extra))}: unknown field" \
+            in capsys.readouterr().err
+    bad = write(tmp_path, "r.json", {k: v for k, v in doc.items() if k != "r"})
+    assert main(["eta", "--config", bad]) == EXIT_DOMAIN
+    assert "r: required" in capsys.readouterr().err
+    # panels cut e^-1 below the peak leave far more than the 1e-6 target:
+    # the cut bound says so, the row carries it and --strict exits 3
+    monkeypatch.setattr(simplexquad, "_CUT", 1.0)
+    assert main(["eta", "--config", path, "--strict"]) == EXIT_WARNING
+    [cut_row] = json.loads(capsys.readouterr().out)["rows"]
+    assert abs(cut_row["value"] - row["value"]) <= cut_row["stderr"]
+    assert cut_row["stderr"] > 1e-6 * cut_row["value"]
+
+
+def test_asymptotic_scan_past_the_double_range_exits_2(tmp_path, capsys):
+    # the masses are about e^{-|u|^2/2}: no doubles, so no 0.0 rows and no
+    # NaN slope, and no RuntimeWarning from a log of 0
+    doc = {"command": "asymptotic-scan", "d": 4, "format": "json",
+           "f": {"family": "abs_power", "param": 0.5},
+           "u_norms": [60.0, 50.0, 40.0]}
+    path = write(tmp_path, "a.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["asymptotic-scan", "--config", path]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert "double range" in captured.err and captured.out == ""
+
+
 def test_schilder_empty_box_is_infeasible(tmp_path, capsys):
     doc = {"command": "schilder", "d": 2, "seed": 4,
            "set": {"type": "box_at_one", "lo": [1.0, 0.0], "hi": [0.5, 1.0]},
@@ -304,7 +345,7 @@ def test_schilder_empty_box_is_infeasible(tmp_path, capsys):
 PAIRING = {"command": "pairing", "d": 4, "u_list": [[1.0, 0.0, 0.0, 0.0]],
            "method": "bridge", "n_outer": 8, "n_inner": 1, "seed": 3}
 ETA = {"command": "eta", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],
-       "variant": "independent", "n_outer": 8, "seed": 3}
+       "variant": "independent"}
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -370,8 +411,6 @@ def test_rate_min_artifact(tmp_path):
 
 
 def test_selfcheck_sabotaged_kernel_fails_dual_route(monkeypatch):
-    from thetalab import simplexquad
-
     def wrong_power(nu, z):
         # the Laplace transform of a kernel of the wrong power of g
         return kve(nu + 0.5, z)

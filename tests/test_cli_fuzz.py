@@ -1,9 +1,10 @@
 """Property-based fuzzing of the CLI: configs in, exit codes and numbers out.
 
 ``parse_config`` must turn any document into an ExperimentConfig or a
-ConfigError, and ``execute`` of the Monte Carlo commands ``pairing``,
-``eta`` and ``schilder``, of the quadrature commands ``mass`` and
-``ldp-slope`` (Laplace inversion, up to seven gaps and t up to 300), of
+ConfigError, and ``execute`` of the Monte Carlo commands ``pairing`` and
+``schilder``, of the quadrature commands ``mass``, ``ldp-slope`` (Laplace
+inversion, up to seven gaps and t up to 300), ``eta`` and
+``asymptotic-scan`` (the 1-d rule, with masses past the double range), of
 ``chaos-norm`` and of ``rate-min`` (free chain times among boxes) must
 return an exit code in {0, 2, 3, 4} and emit only finite numbers.  Budgets
 are capped so that each example runs in milliseconds.
@@ -108,8 +109,7 @@ def fields(command, d):
                     "n_per_eps": st.integers(2, 64)},
         "eta": {"d": st.just(d), "u": u, "f": weights(),
                 "variant": st.sampled_from(["independent", "correlated"]),
-                "r": st.floats(0.05, 0.95), "s_pair": ordered(0.0, 1.0, 2),
-                "n_outer": st.integers(2, 64), "n_inner": st.integers(1, 4)},
+                "r": st.floats(0.05, 0.95)},
         "chaos-norm": {"d": st.just(d), "u": u, "s": st.floats(0.0, 0.5),
                        "t": st.floats(0.5, 1.0), "gamma": nums,
                        "K": st.integers(0, 20)},
@@ -155,7 +155,6 @@ def documents(draw, commands=COMMANDS, always=()):
             doc[name] = draw(strategy)
     if command == "eta" and doc["variant"] == "correlated":
         doc.setdefault("r", 0.5)
-        doc.setdefault("s_pair", [0.2, 0.6])
     return doc
 
 
@@ -212,16 +211,27 @@ def check_execute(doc):
 
 
 @SETTINGS
-@given(documents(commands=("pairing", "eta"),
+@given(documents(commands=("pairing",),
                  always=("n_outer", "n_inner", "n_per_eps")))
 def test_execute_monte_carlo_exit_codes_and_finite_output(doc):
     check_execute(doc)
 
 
 @settings(SETTINGS, max_examples=100)
-@given(documents(commands=("mass", "ldp-slope")))
+@given(documents(commands=("mass", "ldp-slope", "eta")))
 def test_execute_quadrature_exit_codes_and_finite_output(doc):
     check_execute(doc)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(documents(commands=("asymptotic-scan",)),
+       st.lists(st.floats(-3.0, 2.0), min_size=2, max_size=9, unique=True))
+def test_execute_asymptotic_scan_exit_codes_and_finite_output(doc, logs):
+    # |u| from 1e-3 to 100: at the top the masses, about e^{-|u|^2/2},
+    # leave the double range and the scan must exit 2, not print 0.0 or NaN
+    doc["u_norms"] = [10.0 ** x for x in sorted(logs, reverse=True)]
+    code = check_execute(doc)
+    assert code in (None, 0, 2)
 
 
 @settings(SETTINGS, max_examples=100)

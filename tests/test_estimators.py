@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
-from oracles import GaussianConditioner
+from oracles import GaussianConditioner, log_gap_tensor
 from thetalab.errors import ContractError, DomainError
 from thetalab.estimators import (EstimateWithError, WeightFunction,
                                  _window_regression,
@@ -19,9 +19,8 @@ from thetalab.estimators import (EstimateWithError, WeightFunction,
                                  support_check)
 from thetalab.kernels import heat_kernel
 from thetalab.sampler import TimeGrid, sample_conditioned_bm
-from thetalab.simplexquad import (SimplexIntegrand, _log_gap_tensor,
-                                  eta_mass_integral, gap_reduced_integral,
-                                  mass_m)
+from thetalab.simplexquad import (SimplexIntegrand, eta_mass_integral,
+                                  gap_reduced_integral, mass_m)
 
 U4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -92,6 +91,27 @@ def test_weight_moment_vs_mc():
         assert abs(samples.mean() - want) <= 4.0 * se
 
 
+def test_weight_moments_match_adaptive_quadrature():
+    # the closed forms against scipy.quad split at the kink of f; var down
+    # to 1e-14 reaches the series branch of |x|^p at mean^2/(2 var) > 1e8,
+    # and at 1e-300 var^{p/2} 1F1 would be 0 times inf
+    for fam, p in (("abs_power", 0.5), ("abs_power", 2.0), ("abs_power", 3.0),
+                   ("abs_power", 7.0), ("exp_abs", 1.0), ("exp_abs", -2.0),
+                   ("exp_abs", 3.0)):
+        f = WeightFunction(fam, p)
+        for mean in (0.0, 0.3, -0.6, 2.0):
+            for var in (1e-300, 1e-14, 1e-9, 1e-3, 0.64, 4.0):
+                sd = math.sqrt(var)
+                want, _ = quad(
+                    lambda x: float(f(mean + sd * x))
+                    * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
+                    -40.0, 40.0, limit=400, epsabs=0.0, epsrel=1e-13,
+                    points=[-mean / sd] if abs(mean) < 30.0 * sd else None)
+                got = float(f.gaussian_moment(var, mean=mean))
+                assert got == pytest.approx(want, rel=1e-12), \
+                    (fam, p, mean, var)
+
+
 def test_bridge_mass_reduction_k2():
     F = constant_one()
     est = pairing_bridge(F, [U4], 4, 20000, 4, seed=21)
@@ -133,7 +153,7 @@ def test_epsilon_rung_semigroup_oracle():
                          ((U4, U4), (0.04, 0.02, 0.01), 100000)):
         est, ladder = pairing_epsilon(F, us, 4, rungs, n, seed=24)
         for eps, val, se in ladder:
-            want = math.exp(_log_gap_tensor([1.0] * len(us), 4, eps,
+            want = math.exp(log_gap_tensor([1.0] * len(us), 4, eps,
                                             1e-10)[0])
             assert abs(val - want) <= 3.0 * se
         want = gap_reduced_integral(SimplexIntegrand(4, us)).value

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from scipy.special import exp1, gamma, gammaincc
 
+from oracles import gap_log_integrand, log_gap_tensor
 from thetalab.cli import execute, parse_config
 from thetalab.errors import CapacityError, ContractError, DomainError
-from thetalab.estimators import WeightFunction
+from thetalab.estimators import (WeightFunction, eta_mass_scan,
+                                 eta_pairing_correlated,
+                                 eta_pairing_independent)
 from thetalab.kernels import heat_kernel, log_heat_kernel_sq
-from thetalab.simplexquad import (LogIntegral, QuadratureSpec,
-                                  SimplexIntegrand, _gap_log_integrand,
-                                  _log_gap_laplace, _log_gap_tensor,
+from thetalab.simplexquad import (_Y_FLOOR, _Y_MARGIN, LogIntegral,
+                                  QuadratureSpec, SimplexIntegrand,
+                                  _log_eta_1d, _log_gap_laplace,
                                   eta_mass_integral, gap_reduced_integral,
                                   ldp_mass_curve, mass_m, mass_m_direct,
                                   mc_simplex_raw)
@@ -57,7 +60,7 @@ def test_integrand_validation():
     assert [f.name for f in dataclasses.fields(SimplexIntegrand)] \
         == ["d", "u_list", "scale_t"]
     with pytest.raises(CapacityError):
-        _log_gap_tensor([1.0] * 6, 4, 0.01, 1e-10)
+        log_gap_tensor([1.0] * 6, 4, 0.01, 1e-10)
 
 
 def test_quadrature_spec_validation():
@@ -112,8 +115,8 @@ def test_rel_err_bounds_actual_error():
             <= res.rel_err <= 1e-9
         assert not res.warning
     # the tensor rule with a shift that makes u = 0 integrable
-    got, rel = _log_gap_tensor([1.0, 0.0], 4, 0.05, 1e-10)
-    ref, _ = _log_gap_tensor([1.0, 0.0], 4, 0.05, 1e-300)
+    got, rel = log_gap_tensor([1.0, 0.0], 4, 0.05, 1e-10)
+    ref, _ = log_gap_tensor([1.0, 0.0], 4, 0.05, 1e-300)
     assert abs(math.expm1(got - ref)) <= rel <= 1e-9
 
 
@@ -126,7 +129,7 @@ def test_laplace_route_matches_tensor_rule_over_a_grid():
             for t in (1.0, 4.0, 8.0, 20.0, 80.0):
                 sq = t * t * np.sum(rng.normal(size=(k - 1, d)) ** 2, axis=1)
                 got, rel = _log_gap_laplace(sq, d, 1e-10)
-                want, want_rel = _log_gap_tensor(sq, d, 0.0, 1e-13)
+                want, want_rel = log_gap_tensor(sq, d, 0.0, 1e-13)
                 assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), \
                     (d, k, t)
                 assert abs(math.expm1(got - want)) <= rel + want_rel, \
@@ -189,7 +192,7 @@ def test_laplace_route_past_the_bessel_limit_matches_tensor_rule():
         for t in (1e4, 3e4, 1e5):
             sq = [t * t, 2.0 * t * t]
             got, _ = _log_gap_laplace(sq, d, 1e-10)
-            want, _ = _log_gap_tensor(sq, d, 0.0, 1e-10)
+            want, _ = log_gap_tensor(sq, d, 0.0, 1e-10)
             assert abs(got - want) <= 1e-15 * abs(want), (d, t)
 
 
@@ -264,7 +267,7 @@ def test_ldp_curve_matches_pinned_values(k):
     curve = ldp_mass_curve(list(np.eye(4)[:k - 1]), 4, t_grid)
     for t, (_, y, _), (want_y, want_rel) in zip(t_grid, curve,
                                                  PINNED_CURVES[k]):
-        log_value, rel = _log_gap_tensor([t * t] * (k - 1), 4, 0.0, 1e-10)
+        log_value, rel = log_gap_tensor([t * t] * (k - 1), 4, 0.0, 1e-10)
         assert_pinned(log_value, rel, -want_y * t * t, want_rel)
         assert -y * t * t == pytest.approx(-want_y * t * t, rel=1e-13,
                                            abs=0.0)
@@ -274,7 +277,7 @@ def test_shifted_and_weighted_integrals_match_pinned_values():
     e = np.eye(4)
     sq = [float(np.dot(3.0 * u, 3.0 * u))
           for u in (e[0], np.array([0.3, -1.2, 0.5, 0.0]), e[2])]
-    log_value, rel = _log_gap_tensor(sq, 4, 0.02, 1e-10)
+    log_value, rel = log_gap_tensor(sq, 4, 0.02, 1e-10)
     assert_pinned(log_value, rel, -63.752991943676996, 2.3715602495724535e-13)
     f = WeightFunction("abs_power", 0.5)
     for m, want in ((0, 0.010256747461938137), (4, 2.657257223141805),
@@ -288,7 +291,7 @@ def test_shifted_and_weighted_integrals_match_pinned_values():
                                 (4.0, 3.6564169376751714,
                                  4.949694084127049e-10)):
         sq = [t * t * 0.378 ** 2, t * t * 4.0, t * t * 1e-10]
-        log_value, rel = _log_gap_tensor(sq, 1, 0.0, 1e-10)
+        log_value, rel = log_gap_tensor(sq, 1, 0.0, 1e-10)
         assert_pinned(log_value, rel, -want_y * t * t, want_rel)
         [(_, y, route_rel)] = ldp_mass_curve([[-0.378], [-2.0], [1e-5]], 1,
                                              [t])
@@ -306,7 +309,7 @@ def test_gap_log_integrand_open_grid_oracle():
                               (3, 2, 0.0, np.sqrt)):
         sq = rng.uniform(1e-3, 4.0, m)
         s_axes = [rng.uniform(0.05, 0.95, 3 + i) for i in range(m)]
-        got = _gap_log_integrand(sq, d, eps, moment)(
+        got = gap_log_integrand(sq, d, eps, moment)(
             np.ix_(*[np.log(s) for s in s_axes]))
         assert got.shape == tuple(s.size for s in s_axes)
         for idx in np.ndindex(got.shape):
@@ -351,7 +354,7 @@ def test_gap_reduction_vs_raw_mc_k4():
 
 def test_eps_shift_semigroup_consistency():
     # shifting every gap variance by eps equals smoothing the kernel
-    det, _ = _log_gap_tensor([1.0], 4, 0.05, 1e-10)
+    det, _ = log_gap_tensor([1.0], 4, 0.05, 1e-10)
     mc, se = mc_simplex_raw([U4], 4, 400000, seed=5, eps_shift=0.05)
     assert abs(math.exp(det) - mc) <= 3.0 * se
 
@@ -392,6 +395,115 @@ def test_eta_mass_abs_power_matches_closed_form():
 
 def test_eta_mass_divergent_moment():
     assert eta_mass_integral(U4, 4, lambda g: math.inf) == math.inf
+
+
+WEIGHTS = (("one", 0.0), ("indicator_pos", 0.0), ("abs_power", 0.5),
+           ("abs_power", 2.0), ("exp_abs", 1.0))
+
+
+def test_eta_1d_rule_matches_tensor_oracle_over_a_grid():
+    # 4 d x 5 weights x 9 targets, each against the one-gap tensor rule;
+    # the sum of the two reported errors bounds the difference
+    sq = 4.0 ** -np.arange(9)
+    for d in (1, 2, 4, 6):
+        for family, p in WEIGHTS:
+            moment = WeightFunction(family, p).gaussian_moment
+            got, rel = _log_eta_1d(sq, d, moment, 1e-10)
+            assert np.all(rel <= 1e-9), (d, family, p)
+            for s, g, e in zip(sq, got, rel):
+                want, want_rel = log_gap_tensor(
+                    [s], d, 0.0, 1e-12, lambda x: np.log(moment(x)))
+                assert abs(g - want) <= 1e-10 * max(1.0, abs(want)), \
+                    (d, family, p, s)
+                assert abs(math.expm1(g - want)) <= e + want_rel, \
+                    (d, family, p, s)
+
+
+def test_eta_mass_scan_is_one_integral_per_norm():
+    norms = [3.0, 1.0, 0.3, 0.1, 0.01, 1e-3]
+    for d in (1, 4, 5):
+        for family, p in WEIGHTS:
+            f = WeightFunction(family, p)
+            pairs, slope = eta_mass_scan(f, d, norms)
+            for norm, mass in pairs:
+                u = np.zeros(d)
+                u[0] = norm
+                want = eta_mass_integral(u, d, f.gaussian_moment)
+                assert mass == pytest.approx(want, rel=1e-14, abs=0.0)
+            logs = [math.log(m) for _, m in pairs]
+            assert slope == pytest.approx(
+                np.polyfit(np.log(norms), logs, 1)[0], rel=1e-12)
+
+
+def test_eta_mass_past_the_double_range_raises():
+    # e^{-|u|^2/2} leaves the doubles: a CapacityError, not 0.0 and a NaN
+    # slope
+    f = WeightFunction("abs_power", 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapacityError):
+            eta_mass_scan(f, 4, [60.0, 50.0, 40.0])
+        with pytest.raises(CapacityError):
+            eta_mass_integral([60.0, 0, 0, 0], 4, f.gaussian_moment)
+        with pytest.raises(DomainError):
+            eta_mass_scan(f, 4, [1.0, 0.0])
+
+
+def test_eta_mass_target_floor():
+    # below |u|^2/d = e^{_Y_FLOOR + _Y_MARGIN} the peak search has no room
+    # at d >= 2; at d = 1 the integrand stays integrable at u = 0, and the
+    # mass tends to int_0^1 (1 - g) (2 pi g)^{-1/2} dg = (4/3) (2 pi)^{-1/2}
+    tiny = math.sqrt(4.0 * math.exp(_Y_FLOOR + _Y_MARGIN)) / 2.0
+    with pytest.raises(DomainError):
+        eta_mass_integral([tiny, 0, 0, 0], 4, lambda g: 1.0)
+    assert eta_mass_integral([2.0 * tiny, 0, 0, 0], 4, lambda g: 1.0) > 0.0
+    got = eta_mass_integral([1e-150], 1, lambda g: 1.0)
+    assert got == pytest.approx(4.0 / 3.0 / math.sqrt(2.0 * math.pi),
+                                rel=1e-12)
+    # at d = 2 the integrand is flat in y = log g from log |u|^2 to 0, here
+    # over 530 units: the last rules are needed, and the mass is
+    # (1/2 pi) [(1 + a) E_1(a) - e^{-a}], a = |u|^2/2
+    for sq in (1e-230, 1e-145, 1e-12):
+        a = sq / 2.0
+        want = ((1.0 + a) * exp1(a) - math.exp(-a)) / (2.0 * math.pi)
+        [got], [rel] = _log_eta_1d([sq], 2, lambda g: 1.0, 1e-10)
+        assert abs(math.expm1(got - math.log(want))) <= rel <= 1e-10, sq
+
+
+def run_eta(doc):
+    out = io.StringIO()
+    code = execute(parse_config(json.dumps(dict(doc, format="json"))),
+                   out_stream=out)
+    return code, json.loads(out.getvalue())["rows"][0]
+
+
+def test_cli_eta_is_the_monte_carlo_pairings_expectation():
+    # with F1 = F2 = 1 both library Monte Carlo routes average the 1-d
+    # integrand over uniform windows; the CLI computes that integral
+    u = [1.0, 0.0, 0.0, 0.0]
+    for family, p in (("abs_power", 0.5), ("indicator_pos", 0.0)):
+        f = WeightFunction(family, p)
+        doc = {"command": "eta", "d": 4, "u": u,
+               "f": {"family": family, "param": p}}
+        code, ind = run_eta(dict(doc, variant="independent"))
+        assert code == 0 and ind["method"] == "quadrature"
+        assert 0.0 < ind["stderr"] <= 1e-9 * ind["value"]
+        code, cor = run_eta(dict(doc, variant="correlated", r=0.6))
+        assert code == 0 and cor["method"] == "quadrature"
+        assert 0.0 < cor["stderr"] <= 1e-9 * cor["value"]
+        for seed in range(10):
+            est = eta_pairing_independent(None, None, f, u, 4, 50000, 1,
+                                          seed)
+            assert abs(est.value - ind["value"]) <= 3.0 * est.stderr, seed
+            # the window s_pair only reaches F1, which is 1 here
+            est = eta_pairing_correlated(None, None, f, u, 4, 0.6,
+                                         (0.1 + 0.04 * seed, 0.9), 50000,
+                                         1, seed)
+            assert abs(est.value - cor["value"]) <= 3.0 * est.stderr, seed
+    # the weight one collapses to the mass
+    code, row = run_eta({"command": "eta", "d": 4, "u": u,
+                         "f": {"family": "one"}, "variant": "independent"})
+    assert row["value"] == pytest.approx(mass_m(u, 4), rel=1e-10)
 
 
 def test_raw_mc_small_kernel_sanity():
