@@ -9,7 +9,7 @@ that consumes them).
 import math
 
 import numpy as np
-from scipy.special import gamma, gammaincc
+from scipy.special import exp1, gamma, gammaincc
 
 from . import chaos, estimators, kernels, sampler, simplexquad, variational
 
@@ -76,6 +76,17 @@ def _check_gap_identity():
         simplexquad.SimplexIntegrand(4, (u,))).value
     mc, se = simplexquad.mc_simplex_raw([u], 4, 200000, seed=5)
     assert abs(det - mc) <= 3.0 * se, "gap reduction disagrees with raw MC"
+
+
+def _check_ldp_curve():
+    # one inversion for the whole curve; at d = 4, k = 2 each point's mass
+    # is (2 pi)^-2 [e^-a / a - E_1(a)], a = t^2 |u|^2 / 2
+    for t, y, _ in simplexquad.ldp_mass_curve([[0.6, 0.0, -0.8, 0.0]], 4,
+                                              np.arange(4.0, 21.0, 4.0)):
+        a = t * t / 2.0
+        want = math.log((math.exp(-a) / a - exp1(a)) / (2.0 * math.pi) ** 2)
+        err = abs(math.expm1(-y * t * t - want))
+        assert err <= 1e-10, f"ldp curve mass off by {err:.2e} at t={t}"
 
 
 def _check_conditioned_residuals(n):
@@ -205,6 +216,7 @@ def checks_for(tier):
         ("wick-identity-element", _check_wick_identity),
         ("wick-norm-inequality", lambda: _check_wick_inequality(100)),
         ("gap-reduction-vs-raw-mc", _check_gap_identity),
+        ("ldp-curve-closed-form", _check_ldp_curve),
         ("conditioned-residuals", lambda: _check_conditioned_residuals(2000)),
         ("cameron-martin-mean-one", lambda: _check_cm_martingale(20000)),
         ("energy-closed-form", lambda: _check_energy_minimizer(3)),

@@ -6,7 +6,8 @@ variables g_j = t_{j+1} - t_j turns these into integrals over
 {g >= 0, sum g <= 1} of (1 - sum g) * prod_j p^d_{g_j + eps}(s u_j), where
 the slack factor accounts for the free translation of t_1.  At eps = 0 that
 is the Laplace convolution of the kernels and the slack at time 1, found by
-one Bromwich integral for any k (:func:`gap_reduced_integral`); the
+one Bromwich integral for any k (:func:`gap_reduced_integral`), vectorised
+over the points of an LDP curve (:func:`ldp_mass_curve`); the
 moment-weighted k = 2 integral of :func:`eta_mass_integral` has one gap and
 goes to a 1-d Gauss-Legendre rule in log g, vectorised over targets.  All
 kernel products are accumulated as sums of logs; at large scale factors the
@@ -37,6 +38,9 @@ _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 _N_FIRST = 32
 _N_LAST = 2 ** 12
 _WIDTHS = 12.0
+# the saddle search's grid, shrunk by 8 about a minimum inside it
+_NODES = np.arange(17.0)
+_SHRINK = np.where((_NODES > 0) & (_NODES < 16), 8.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,8 @@ def _log_eta_1d(sq, d, f_moment, tol):
     terms, which grows with |y|.  A moment infinite at the peak gives +inf.
     """
     sq = np.atleast_1d(np.asarray(sq, dtype=float))
-    lo = np.log(sq / d) - _Y_MARGIN
+    with np.errstate(divide="ignore"):  # u = 0 at d = 1: the floor below
+        lo = np.log(sq / d) - _Y_MARGIN
     if d >= 2 and np.any(lo < _Y_FLOOR):
         raise DomainError(
             "increment target too small for the gap quadrature: |u|^2/d = "
@@ -188,29 +193,30 @@ def _log_eta_1d(sq, d, f_moment, tol):
     return out, err
 
 
-def _log_bromwich(sq, d, sigma, y):
-    """log of e^lam lam^-2 prod_j F_j(lam) at lam = sigma (1 + i y)^2.
+def _log_bromwich(root_a, total, d, sigma, w):
+    """log of e^lam lam^-2 prod_j F_j(lam) at lam = sigma w^2, w = 1 + i y.
 
     F_j(lam) = (2 pi)^{-d/2} 2 (a_j/lam)^{-nu/2} K_nu(2 sqrt(a_j lam)), with
     a_j = |u_j|^2/2 and nu = d/2 - 1, is the Laplace transform of the gap
     kernel g -> p_g(u_j), and lam^-2 that of the slack.  On the contour
     sqrt(lam) = sqrt(sigma) (1 + i y); the exponents lam - sum_j 2 sqrt(a_j
     lam) are summed in closed form, so their large imaginary parts cancel
-    before rounding.  ``sigma`` and ``y`` broadcast.
+    before rounding.  One integrand per row: ``root_a`` holds the sqrt(a_j)
+    as (rows, m, 1) and ``total`` their sums as (rows, 1); ``sigma`` and
+    ``w`` broadcast to (rows, n).
     """
-    root_a = np.sqrt(np.asarray(sq, dtype=float) / 2.0)
-    total, rs, w = root_a.sum(), np.sqrt(sigma), 1.0 + 1j * np.asarray(y)
+    rs = np.sqrt(sigma)
     log_lam = np.log(sigma) + 2.0 * np.log(w)
     out = sigma * (1.0 - w.imag ** 2) - 2.0 * rs * total \
         + 2j * w.imag * rs * (rs - total) - 2.0 * log_lam
     if d == 1:  # K_{1/2} in closed form; a zero target is allowed
-        return out - 0.5 * root_a.size * (log_lam + math.log(2.0))
+        return out - 0.5 * root_a.shape[1] * (log_lam + math.log(2.0))
     nu = d / 2.0 - 1.0
-    z = 2.0 * np.multiply.outer(root_a, rs * w)
+    z = 2.0 * (root_a * (rs * w)[:, None])  # (rows, m, n)
     with np.errstate(divide="ignore", over="ignore"):
         log_k = np.log(kve(nu, z))  # log K_nu(z) + z
-    bad = ~np.isfinite(log_k)
-    if np.any(bad):
+    if not np.isfinite(log_k).all():
+        bad = ~np.isfinite(log_k)
         # kve is inf as z -> 0, where K_nu(z) ~ Gamma(nu)/2 (z/2)^-nu, and
         # NaN past |z| ~ 1.07e9, where the three-term Hankel expansion
         # matches it to 1e-14 from |z| = 1e8 on
@@ -225,93 +231,129 @@ def _log_bromwich(sq, d, sigma, y):
             1.0 + (mu - 1.0) / (8.0 * zh)
             + (mu - 1.0) * (mu - 9.0) / (128.0 * zh * zh))
         log_k[bad] = fix
-    return out + np.sum(math.log(2.0) - 0.5 * d * math.log(2.0 * math.pi)
-                        + nu * (math.log(2.0) + log_lam - np.log(z))
-                        + log_k, axis=0)
+    return out + np.add.reduce(
+        math.log(2.0) - 0.5 * d * math.log(2.0 * math.pi)
+        + nu * (math.log(2.0) + log_lam[:, None] - np.log(z)) + log_k, 1)
 
 
 def _log_gap_laplace(sq, d, tol):
-    """(log value, relative error) of the gap-simplex integral at eps = 0.
+    """(log values, relative errors) of gap-simplex integrals at eps = 0.
 
-    The integral is (f_1 * ... * f_m * s)(1), a Laplace convolution of the
-    gap kernels and the slack at time 1, so it is the Bromwich integral
-    (1/2 pi i) int e^lam lam^-2 prod_j F_j(lam) d lam of :func:`_log_bromwich`.
-    On the parabola lam = sigma (1 + i y)^2 (Weideman and Trefethen, Math.
-    Comp. 76 (2007)) it is (1/pi) int_0^inf Re[e^lam lam^-2 prod_j F_j 2
-    sigma (1 + i y)] dy.  sigma is the real saddle point, found by a grid of
-    17 nodes in log lam that follows the minimum until it is inside, then
-    shrinks to its neighbours (the log integrand is convex in real lam); the
-    grid starts at the saddle of lam - 2 log lam - 2 S sqrt(lam), S = sum_j
-    sqrt(a_j), which is S^2 to leading order.  A trapezoid rule on [0, Y], Y
-    _WIDTHS saddle widths out, doubles its nodes from _N_FIRST until two
+    One integral per row of ``sq``, the (rows, m) array of |u_j|^2; each
+    row runs the iteration below on its own and stops at its own
+    convergence, and a row that fails raises for all.  The integral is
+    (f_1 * ... * f_m * s)(1), a Laplace convolution of the gap kernels and
+    the slack at time 1, so it is the Bromwich integral (1/2 pi i) int
+    e^lam lam^-2 prod_j F_j(lam) d lam of :func:`_log_bromwich`.  On the
+    parabola lam = sigma (1 + i y)^2 (Weideman and Trefethen, Math. Comp. 76
+    (2007)) it is (1/pi) int_0^inf Re[e^lam lam^-2 prod_j F_j 2 sigma (1 +
+    i y)] dy.  sigma is the real saddle point, found by a grid of 17 nodes
+    in log lam that follows the minimum until it is inside, then shrinks to
+    its neighbours (the log integrand is convex in real lam); the grid
+    starts at the saddle of lam - 2 log lam - 2 S sqrt(lam), S = sum_j
+    sqrt(a_j), which is S^2 to leading order.  A trapezoid rule on [0, Y],
+    Y _WIDTHS saddle widths out, doubles its nodes from _N_FIRST until two
     values agree to ``tol``.  The error is their relative difference, plus
     a bound on the cut tail (past Y, |e^lam| = e^{sigma (1 - y^2)} and the
     other factors grow at most like (1 + y^2)^{m d/4 - 3/2}), plus
     the rounding of the log terms, scaled by any cancellation in the sum.
     """
     sq = np.asarray(sq, dtype=float)
-    if d >= 2 and np.any(sq == 0.0):
+    if d >= 2 and (sq == 0.0).any():
         raise DomainError("increment target underflows: |u|^2 = 0 for d >= 2")
+    root_a = np.sqrt(sq / 2.0)
+    lead, root_a = np.add.reduce(root_a, 1, keepdims=True), root_a[..., None]
 
-    def logg(sigma, y):  # the y-integrand, Jacobian d lam/(i dy) included
-        return _log_bromwich(sq, d, sigma, y) \
-            + np.log(2.0 * sigma * (1.0 + 1j * np.asarray(y)))
+    def logg(y):  # the y-integrand of the live rows, d lam/(i dy) included
+        w = 1.0 + 1j * y
+        return _log_bromwich(root_a, lead, d, sigma, w) \
+            + np.log(2.0 * sigma * w)
 
-    lead = np.sum(np.sqrt(sq / 2.0))
-    mu, half = 2.0 * math.log((lead + math.sqrt(lead ** 2 + 8.0)) / 2.0), 4.0
+    # A row's scalar steps run on Python floats with math.exp and math.log:
+    # np.exp and np.log may round the last bit differently, which the
+    # doubling difference in the error would magnify.  The nodes of all
+    # live rows go to _log_bromwich in one batch.
+    mu = np.array([2.0 * math.log((s + math.sqrt(s ** 2 + 8.0)) / 2.0)
+                   for s in lead.ravel().tolist()])
+    half, moving = np.full(mu.size, 4.0), np.full(mu.size, True)
     for _ in range(200):
-        mus = np.linspace(mu - half, mu + half, 17)
-        i = int(np.argmin(_log_bromwich(sq, d, np.exp(mus), 0.0).real))
-        mu, half = float(mus[i]), half / 8.0 if 0 < i < 16 else half
-        if half < 1e-3:
+        lo, hi = mu - half, mu + half
+        mus = _NODES * ((hi - lo) / 16.0)[:, None] + lo[:, None]
+        mus[:, -1] = hi  # np.linspace(lo, hi, 17) on each row
+        i = _log_bromwich(root_a, lead, d, np.exp(mus),
+                          1.0 + 0j).real.argmin(1)
+        mu = np.where(moving, mus[np.arange(mu.size), i], mu)
+        half = np.where(moving, half / _SHRINK[i], half)
+        moving = half >= 1e-3  # a finer grid is frozen
+        if not moving.any():
             break
     else:
         raise CapacityError("the Laplace integrand has no saddle point")
-    sigma = math.exp(mu)
-    # Re log g ~ top - y^2 / (2 w^2) about y = 0, w the saddle width
-    dy = 1e-2 / math.sqrt(sigma)
-    top, side = logg(sigma, np.array([0.0, dy])).real
-    if not (math.isfinite(top) and top > side):
-        raise CapacityError("the Laplace integrand has no finite peak at "
-                            f"its saddle point {sigma:.6g}")
-    growth = sq.size * d / 4.0 - 1.5
-    y_cut = max(_WIDTHS * dy / math.sqrt(2.0 * (top - side)),
-                math.sqrt(max(2.0 * growth / sigma - 1.0, 0.0)))
-    h, n = y_cut / _N_FIRST, _N_FIRST
-    logs = logg(sigma, np.linspace(0.0, y_cut, n + 1)) - top
+    sigma = np.array([math.exp(m) for m in mu.tolist()])[:, None]
+    dy = 1e-2 / np.sqrt(sigma)
+    probe = logg(dy * np.array([0.0, 1.0])).real
+    growth, y_cut = sq.shape[1] * d / 4.0 - 1.5, []
+    for s, e, (top, side) in zip(sigma.ravel().tolist(), dy.ravel().tolist(),
+                                 probe.tolist()):
+        # Re log g ~ top - y^2 / (2 w^2) about y = 0, w the saddle width
+        if not (math.isfinite(top) and top > side):
+            raise CapacityError("the Laplace integrand has no finite peak "
+                                f"at its saddle point {s:.6g}")
+        y_cut.append(max(_WIDTHS * e / math.sqrt(2.0 * (top - side)),
+                         math.sqrt(max(2.0 * growth / s - 1.0, 0.0))))
+    top, n = probe[:, :1], _N_FIRST
+    h = np.array(y_cut)[:, None] / n
+    logs = logg(h * np.arange(n + 1.0)) - top
     # past y_cut the modulus falls at least like e^{-(y - y_cut) r} with
     # r = 2 y_cut (sigma - growth / (1 + y_cut^2)) >= sigma y_cut
-    tail = math.exp(logs[-1].real) \
-        / (2.0 * y_cut * (sigma - growth / (1.0 + y_cut ** 2)))
+    tail = [math.exp(v) / (2.0 * c * (s - growth / (1.0 + c ** 2))) for v, c, s
+            in zip(logs[:, -1].real.tolist(), y_cut, sigma.ravel().tolist())]
     terms = np.exp(logs).real
-    terms[[0, -1]] *= 0.5
-    total, size, prev = terms.sum(), np.abs(terms).sum(), math.inf
+    terms[:, ::n] *= 0.5  # the two end points
+    total = np.add.reduce(terms, 1, keepdims=True)
+    size = np.add.reduce(np.abs(terms), 1, keepdims=True)
+    out, err = np.empty(len(tail)), np.empty(len(tail))
+    live, prev = list(range(len(tail))), [math.inf] * len(tail)
     while True:
-        if not total > 0.0:
-            raise CapacityError("Laplace inversion lost the integral")
-        cur = top + math.log(h * total / math.pi)
-        diff = abs(math.expm1(cur - prev))
-        if diff <= tol or n >= _N_LAST:
-            break
-        prev = cur
-        terms = np.exp(logg(sigma, (np.arange(n) + 0.5) * h) - top).real
-        total, size = total + terms.sum(), size + np.abs(terms).sum()
+        keep = []
+        for j, (top_j, h_j, total_j, size_j) in enumerate(zip(
+                top.ravel().tolist(), h.ravel().tolist(),
+                total.ravel().tolist(), size.ravel().tolist())):
+            if not total_j > 0.0:
+                raise CapacityError("Laplace inversion lost the integral")
+            cur = top_j + math.log(h_j * total_j / math.pi)
+            diff = abs(math.expm1(cur - prev[j]))
+            if diff <= tol or n >= _N_LAST:
+                out[live[j]] = cur
+                err[live[j]] = diff + tail[j] / (h_j * total_j) + 16.0 \
+                    * np.finfo(float).eps * (1 + abs(cur)) * size_j / total_j
+            else:
+                keep.append(j)
+                prev[j] = cur
+        if not keep:
+            return out, err
+        if len(keep) < len(live):
+            root_a, lead, sigma, top, h, total, size = (a[keep] for a in (
+                root_a, lead, sigma, top, h, total, size))
+            live, tail, prev = ([a[j] for j in keep] for a in (live, tail,
+                                                                prev))
+        terms = np.exp(logg((np.arange(n) + 0.5) * h) - top).real
+        total = total + np.add.reduce(terms, 1, keepdims=True)
+        size = size + np.add.reduce(np.abs(terms), 1, keepdims=True)
         h, n = h / 2.0, 2 * n
-    rounding = 16.0 * np.finfo(float).eps * (1 + abs(cur)) * size / total
-    return cur, diff + tail / (h * total) + rounding
 
 
 def gap_reduced_integral(ig: SimplexIntegrand, q: QuadratureSpec = None):
     """log of the Delta_k integral of the kernel product, via gap variables.
 
-    Laplace inversion (:func:`_log_gap_laplace`) at any k.  An error
+    Laplace inversion (:func:`_log_gap_laplace`, one row) at any k.  An error
     estimate above the target relative error sets the warning flag but the
     value is returned.
     """
     if q is None:
         q = QuadratureSpec()
-    log_value, rel = _log_gap_laplace(ig.sq_norms(), ig.d,
-                                      min(q.target_rel_err, 1e-10))
+    [log_value], [rel] = _log_gap_laplace([ig.sq_norms()], ig.d,
+                                          min(q.target_rel_err, 1e-10))
     return LogIntegral(float(log_value), float(rel), "laplace_inversion",
                        warning=bool(rel > q.target_rel_err))
 
@@ -369,19 +411,25 @@ def mc_simplex_raw(u_list, d, n, seed, eps_shift=0.0, scale_t=1.0):
 
 
 def ldp_mass_curve(u_list, d, t_grid, q: QuadratureSpec = None):
-    """Curve of (t, -(1/t^2) log integral) for targets scaled by t.
+    """Curve of (t, -(1/t^2) log integral, rel_err) for targets scaled by t.
 
     Feeds the asymptotic slope fit; entries of ``t_grid`` must be >= 1.
+    The whole curve is one call of :func:`_log_gap_laplace`, one row per t,
+    with the values and errors :func:`gap_reduced_integral` gives at
+    ``scale_t = t``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 1.0):
         raise DomainError("t_grid entries must be >= 1")
-    out = []
-    for t in t_grid:
-        ig = SimplexIntegrand(d, tuple(u_list), scale_t=float(t))
-        res = gap_reduced_integral(ig, q)
-        out.append((float(t), -res.log_value / t ** 2, res.rel_err))
-    return out
+    if q is None:
+        q = QuadratureSpec()
+    us = SimplexIntegrand(d, tuple(u_list)).u_list
+    # each row is SimplexIntegrand(d, u_list, scale_t=t).sq_norms()
+    sq = np.reshape([[float(np.dot(t * u, t * u)) for u in us]
+                     for t in t_grid], (t_grid.size, len(us)))
+    log_values, rels = _log_gap_laplace(sq, d, min(q.target_rel_err, 1e-10))
+    return [(float(t), -float(v) / t ** 2, float(rel))
+            for t, v, rel in zip(t_grid, log_values, rels)]
 
 
 def eta_log_integral(u, d, f_moment, q: QuadratureSpec = None):
@@ -396,9 +444,9 @@ def eta_log_integral(u, d, f_moment, q: QuadratureSpec = None):
         q = QuadratureSpec()
     u = np.atleast_1d(np.asarray(u, dtype=float))
     sq = float(u @ u)
-    if sq == 0.0:
-        raise DomainError("eta mass requires |u|^2 > 0: u = 0 or |u|^2 "
-                          "underflows")
+    if sq == 0.0 and d >= 2:
+        raise DomainError("eta mass requires |u|^2 > 0 for d >= 2: u = 0 "
+                          "or |u|^2 underflows")
     [log_value], [rel] = _log_eta_1d([sq], d, f_moment,
                                      min(q.target_rel_err, 1e-10))
     return LogIntegral(float(log_value), float(rel), "quadrature",

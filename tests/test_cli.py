@@ -468,6 +468,26 @@ def test_selfcheck_sabotaged_box_solve_fails_box_check(monkeypatch):
     assert failures == ["box-halfspace-closed-form"]
 
 
+def test_selfcheck_sabotaged_rows_fail_ldp_curve(monkeypatch):
+    real = simplexquad._log_gap_laplace
+
+    def row_zero_everywhere(sq, d, tol):
+        # one-row calls are untouched; a curve gets its first point's value
+        # and error at every t
+        values, errors = real(sq, d, tol)
+        return np.full_like(values, values[0]), np.full_like(errors, errors[0])
+
+    monkeypatch.setattr(simplexquad, "_log_gap_laplace", row_zero_everywhere)
+    failures = []
+    for name, fn in selfcheck.checks_for("quick"):
+        try:
+            fn()
+        except AssertionError:
+            failures.append(name)
+            break
+    assert failures == ["ldp-curve-closed-form"]
+
+
 def test_selfcheck_runner_reports(capsys):
     ok = selfcheck.run_selfcheck("quick")
     out = capsys.readouterr().out

@@ -18,7 +18,8 @@ from thetalab.kernels import heat_kernel, log_heat_kernel_sq
 from thetalab.simplexquad import (_Y_FLOOR, _Y_MARGIN, LogIntegral,
                                   QuadratureSpec, SimplexIntegrand,
                                   _log_eta_1d, _log_gap_laplace,
-                                  eta_mass_integral, gap_reduced_integral,
+                                  eta_log_integral, eta_mass_integral,
+                                  gap_reduced_integral,
                                   ldp_mass_curve, mass_m, mass_m_direct,
                                   mc_simplex_raw)
 from thetalab.variational import closed_form_inf, ldp_slope_fit
@@ -128,7 +129,7 @@ def test_laplace_route_matches_tensor_rule_over_a_grid():
         for k in (2, 3, 4):
             for t in (1.0, 4.0, 8.0, 20.0, 80.0):
                 sq = t * t * np.sum(rng.normal(size=(k - 1, d)) ** 2, axis=1)
-                got, rel = _log_gap_laplace(sq, d, 1e-10)
+                [got], [rel] = _log_gap_laplace([sq], d, 1e-10)
                 want, want_rel = log_gap_tensor(sq, d, 0.0, 1e-13)
                 assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), \
                     (d, k, t)
@@ -139,7 +140,7 @@ def test_laplace_route_matches_tensor_rule_over_a_grid():
 def test_laplace_route_matches_closed_forms_within_its_error():
     # d = 4 down to |u| = 1e-4, where the kernel peak has width 1e-8
     for r in (3.0, 1.0, 0.1, 1e-2, 1e-3, 1e-4):
-        got, rel = _log_gap_laplace([r * r], 4, 1e-10)
+        [got], [rel] = _log_gap_laplace([[r * r]], 4, 1e-10)
         err = abs(math.expm1(got - math.log(exact_mass(r))))
         assert err <= min(rel, 1e-13), r
     # d = 2: (1/2 pi) [(1 + a) E_1(a) - e^{-a}], here at |u| = 1e-20
@@ -160,7 +161,7 @@ def test_laplace_route_matches_closed_forms_within_its_error():
     for d, sq, want in ((3, [36.4060958, 2.6460224e-08], -20.026158818301987),
                         (4, [1.67602152e+05, 1.67590360e-16],
                          -83794.08177819829)):
-        got, rel = _log_gap_laplace(sq, d, 1e-10)
+        [got], [rel] = _log_gap_laplace([sq], d, 1e-10)
         assert abs(math.expm1(got - want)) <= rel, d
 
 
@@ -191,9 +192,51 @@ def test_laplace_route_past_the_bessel_limit_matches_tensor_rule():
     for d in (3, 4):
         for t in (1e4, 3e4, 1e5):
             sq = [t * t, 2.0 * t * t]
-            got, _ = _log_gap_laplace(sq, d, 1e-10)
+            [got], _ = _log_gap_laplace([sq], d, 1e-10)
             want, _ = log_gap_tensor(sq, d, 0.0, 1e-10)
             assert abs(got - want) <= 1e-15 * abs(want), (d, t)
+
+
+def assert_rows_are_one_row_calls(sq, d):
+    # a call on many rows gives each row what a call on it alone gives
+    values, errors = _log_gap_laplace(sq, d, 1e-10)
+    for row, value, error in zip(sq, values, errors):
+        [one], [one_err] = _log_gap_laplace([row], d, 1e-10)
+        assert abs(value - one) <= 1e-15 * abs(one), (d, row)
+        assert abs(error - one_err) <= 1e-15 * one_err, (d, row)
+
+
+def test_laplace_rows_match_one_row_calls():
+    # |u|^2 from 1e-6 to 1e9: the rules stop at 64 to 512 nodes
+    rng = np.random.default_rng(3)
+    scales = np.array([1e-6, 1e-2, 1.0, 16.0, 400.0, 1e6, 1e9])
+    for d in (1, 2, 3, 4, 6):
+        for k in range(2, 7):
+            sq = scales[:, None] * np.sum(
+                rng.normal(size=(scales.size, k - 1, d)) ** 2, axis=2)
+            if d == 1:
+                sq[2, 0] = 0.0  # a zero target is integrable at d = 1
+            assert_rows_are_one_row_calls(sq, d)
+    # Hankel-range rows, |z| past the Bessel routine's limit, among
+    # ordinary ones: six unit targets at t = 4 ... 1e5
+    t = np.array([4.0, 3000.0, 1e4, 1.0, 1e5])
+    assert_rows_are_one_row_calls(np.repeat(t[:, None] ** 2, 5, axis=1), 6)
+
+
+def test_ldp_curve_matches_per_point_integrals():
+    # the curve is one call on rows t^2 |u_j|^2; each point is what the
+    # one-row route gives the integrand scaled by t
+    rng = np.random.default_rng(4)
+    t_grid = [1.0, 2.5, 4.0, 12.0, 20.0, 80.0]
+    for d, k in ((1, 3), (2, 2), (3, 4), (4, 3), (6, 5)):
+        us = [rng.normal(size=d) for _ in range(k - 1)]
+        for t, (got_t, y, rel) in zip(t_grid, ldp_mass_curve(us, d, t_grid)):
+            res = gap_reduced_integral(SimplexIntegrand(d, tuple(us),
+                                                        scale_t=t))
+            assert got_t == t
+            assert y == pytest.approx(-res.log_value / t ** 2, rel=1e-15,
+                                      abs=0.0)
+            assert rel == pytest.approx(res.rel_err, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("k, seed", [(5, 5), (6, 6)])
@@ -373,8 +416,15 @@ def test_log_integral_value_property():
 def test_ldp_curve_contract():
     with pytest.raises(DomainError):
         ldp_mass_curve([U4], 4, [0.5, 1.0, 2.0])
+    # one point that raises makes the curve raise its typed error
+    with pytest.raises(DomainError):
+        ldp_mass_curve([U4[:2], np.zeros(2)], 2, [1.0, 2.0])
+    with pytest.raises(DomainError):  # |t u|^2 underflows at d >= 2
+        ldp_mass_curve([[1e-200, 0.0]], 2, [1.0, 2.0])
+    with pytest.raises(CapacityError):  # the peak is lost at t = 1e6
+        ldp_mass_curve(list(np.eye(6)[:5]), 6, [4.0, 3000.0, 1e6])
     curve = ldp_mass_curve([U4], 4, [2.0, 4.0])
-    assert len(curve) == 2
+    assert len(curve) == 2 and ldp_mass_curve([U4], 4, []) == []
     # slopes decrease towards the limit from above for this geometry
     assert curve[1][1] < curve[0][1]
 
@@ -460,6 +510,22 @@ def test_eta_mass_target_floor():
     got = eta_mass_integral([1e-150], 1, lambda g: 1.0)
     assert got == pytest.approx(4.0 / 3.0 / math.sqrt(2.0 * math.pi),
                                 rel=1e-12)
+    # also where |u|^2 is 0 in doubles, as for the Laplace route and mass_m
+    want = 4.0 / 3.0 / math.sqrt(2.0 * math.pi)
+    for u in ([0.0], [1e-170]):
+        res = eta_log_integral(u, 1, lambda g: 1.0)
+        assert abs(math.expm1(res.log_value - math.log(want))) \
+            <= res.rel_err <= 1e-12, u
+        assert math.exp(res.log_value) == pytest.approx(
+            gap_reduced_integral(SimplexIntegrand(1, (u,))).value, rel=1e-12)
+    assert math.exp(res.log_value) == pytest.approx(mass_m([1e-170], 1),
+                                                    rel=1e-12)
+    code, row = run_eta({"command": "eta", "d": 1, "u": [1e-170],
+                         "f": {"family": "one", "param": 0.0},
+                         "variant": "independent"})
+    assert code == 0 and row["value"] == pytest.approx(want, rel=1e-12)
+    with pytest.raises(DomainError):
+        eta_log_integral([0.0, 0.0], 2, lambda g: 1.0)
     # at d = 2 the integrand is flat in y = log g from log |u|^2 to 0, here
     # over 530 units: the last rules are needed, and the mass is
     # (1/2 pi) [(1 + a) E_1(a) - e^{-a}], a = |u|^2/2
