@@ -220,31 +220,54 @@ def _warn_small_d(d):
             stacklevel=3)
 
 
-def _chunked_means(block, *rows):
-    """Concatenated block(*row_slices) over blocks of _CHUNK rows."""
-    return np.concatenate([block(*(a[lo:lo + _CHUNK] for a in rows))
-                           for lo in range(0, rows[0].shape[0], _CHUNK)])
+def _outer_step(n, k, n_inner=1, t_pair=None):
+    """Outer points of a pairing estimator, once its sample counts pass.
+
+    Returns (draw, divisor): draw(rng, m) gives m ordered uniform k-tuples
+    of [0, 1], or m copies of a fixed ``t_pair``, and the mean of an
+    integrand over the points, divided by ``divisor`` (k! or 1), estimates
+    its integral over the ordered simplex (or its value at ``t_pair``).
+    """
+    if n < 2 or n_inner < 1:
+        raise ContractError("need n >= 2 outer and n_inner >= 1 inner "
+                            f"samples, got n={n}, n_inner={n_inner}")
+    if t_pair is None:
+        return (lambda rng, m: np.sort(rng.random((m, k)), axis=1),
+                math.factorial(k))
+    t_pair = np.asarray(t_pair, dtype=float)
+    return (lambda rng, m: np.tile(t_pair, (m, 1))), 1
 
 
-def _conditional_means(F, t_tuples, u_list, d, n_inner, rng, weight=None):
+def _blockwise(n, size, block, width=()):
+    """block(sl) over consecutive slices of range(n) of at most ``size``,
+    written into one array of shape (n,) + width."""
+    out = np.empty((n,) + width)
+    for lo in range(0, n, size):
+        out[lo:lo + size] = block(slice(lo, min(lo + size, n)))
+    return out
+
+
+def _estimate(y, divisor, n_samples, method):
+    """mean(y) / divisor with the standard error of that mean."""
+    return EstimateWithError(
+        float(y.mean() / divisor),
+        float(y.std(ddof=1) / math.sqrt(y.shape[0]) / divisor),
+        n_samples, method)
+
+
+def _conditional_means(F, t_tuples, u_list, d, n_inner, rng):
     """Inner means E[F | w(t_{j+1}) - w(t_j) = u_j] for each time tuple.
 
-    Paths are bridge-conditioned on the targets (free when ``u_list`` is
-    empty); a ``weight`` g multiplies F by g(w_1(t_2) - w_1(t_1)).
-    Vectorized over outer tuples in chunks; returns an array of inner-mean
-    payoff values, one per tuple.
+    ``n_inner`` paths per tuple, bridge-conditioned on the targets, in
+    blocks of _CHUNK tuples; returns one inner mean per tuple.
     """
-    def block(t):
-        times, pos_eval, pos_t = union_times(t, F.eval_times)
+    def block(sl):
+        times, pos_eval, pos_t = union_times(t_tuples[sl], F.eval_times)
         incs = row_increments(np.diff(times, axis=1), d, n_inner, rng)
         bridge_adjust(times, incs, pos_t[:, :-1], pos_t[:, 1:], u_list)
-        ev, at_t = path_at(incs, pos_eval, pos_t)
-        vals = F(ev)
-        if weight is not None:
-            vals = vals * weight(at_t[:, :, 1, 0] - at_t[:, :, 0, 0])
-        return vals.mean(axis=1)
+        return F(path_at(incs, pos_eval)[0]).mean(axis=1)
 
-    return _chunked_means(block, t_tuples)
+    return _blockwise(t_tuples.shape[0], _CHUNK, block)
 
 
 def _log_kernel_product(t_tuples, u_list, d, eps_shift=0.0):
@@ -266,16 +289,12 @@ def pairing_bridge(F: CylinderFunctional, u_list, d, n_outer, n_inner,
     """
     us = _check_u_list(u_list, d)
     _warn_small_d(d)
-    k = len(us) + 1
+    draw, divisor = _outer_step(n_outer, len(us) + 1, n_inner)
     rng = make_rng(seed, 1)
-    t = np.sort(rng.random((n_outer, k)), axis=1)
+    t = draw(rng, n_outer)
     h = _conditional_means(F, t, us, d, n_inner, rng)
     y = h * np.exp(_log_kernel_product(t, us, d))
-    fact = math.factorial(k)
-    return EstimateWithError(
-        float(y.mean() / fact),
-        float(y.std(ddof=1) / math.sqrt(n_outer) / fact),
-        n_outer * n_inner, "bridge")
+    return _estimate(y, divisor, n_outer * n_inner, "bridge")
 
 
 def extrapolation_weights(eps_values):
@@ -288,7 +307,7 @@ def extrapolation_weights(eps_values):
 
 
 def _smoothed_rungs(F, us, d, eps_ladder, n, rng):
-    """Per-sample smoothed kernel values at every rung, shape (n, rungs).
+    """Per-sample pairing values at every rung, shape (n, rungs).
 
     Given the window increments dw_j ~ N(0, g_j I), the mollifier
     integrates in closed form:
@@ -301,14 +320,16 @@ def _smoothed_rungs(F, us, d, eps_ladder, n, rng):
     and xi once for all rungs.  The bridge is linear in its targets, so a
     rung only adds sum_j share_j Y_j to the zero-target bridge, share_j
     being the part of window j crossed at an eval time: one extra
-    coordinate per window, bridged to a unit target, carries it.
+    coordinate per window, bridged to a unit target, carries it.  The
+    values are divided by k!, so each rung's column mean is its pairing.
     """
     k = len(us) + 1
+    draw, divisor = _outer_step(n, k)
     u = np.stack(us)
     unit = np.hstack([np.zeros((k - 1, d)), np.eye(k - 1)])
-    vals = np.empty((n, len(eps_ladder)))
-    for lo in range(0, n, _CHUNK * 64):
-        t = np.sort(rng.random((min(_CHUNK * 64, n - lo), k)), axis=1)
+
+    def block(sl):
+        t = draw(rng, sl.stop - sl.start)
         times, pos_eval, pos_t = union_times(t, F.eval_times)
         incs = row_increments(np.diff(times, axis=1), d, 1, rng)
         xi = rng.standard_normal((t.shape[0], k - 1, d))
@@ -317,12 +338,14 @@ def _smoothed_rungs(F, us, d, eps_ladder, n, rng):
         bridge_adjust(times, incs, pos_t[:, :-1], pos_t[:, 1:], unit)
         ev0, share = np.split(path_at(incs, pos_eval)[0][:, 0], [d], axis=2)
         g = np.diff(t, axis=1)[:, :, None]
+        vals = np.empty((t.shape[0], len(eps_ladder)))
         for r, eps in enumerate(eps_ladder):
             y = g / (g + eps) * u + np.sqrt(g * eps / (g + eps)) * xi
             ev = ev0 + np.einsum("rej,rjd->red", share, y)
-            vals[lo:lo + t.shape[0], r] = F(ev) * np.exp(
-                _log_kernel_product(t, us, d, eps))
-    return vals
+            vals[:, r] = F(ev) * np.exp(_log_kernel_product(t, us, d, eps))
+        return vals
+
+    return _blockwise(n, _CHUNK * 64, block, (len(eps_ladder),)) / divisor
 
 
 def pairing_epsilon(F: CylinderFunctional, u_list, d, eps_ladder,
@@ -347,10 +370,8 @@ def pairing_epsilon(F: CylinderFunctional, u_list, d, eps_ladder,
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])) \
             or any(e <= 0.0 for e in eps_ladder):
         raise ContractError("epsilon ladder must be positive and decreasing")
-    if n_per_eps < 2:
-        raise ContractError("n_per_eps must be >= 2")
     vals = _smoothed_rungs(F, us, d, eps_ladder, n_per_eps,
-                           make_rng(seed, 100)) / math.factorial(len(us) + 1)
+                           make_rng(seed, 100))
     root_n = math.sqrt(n_per_eps)
     means = vals.mean(axis=0)
     ladder = list(zip(eps_ladder, means.tolist(),
@@ -369,37 +390,28 @@ def cylinder_mass(eval_times, box_lo, box_hi, u_list, d, n_outer, n_inner,
     The indicator payoff is averaged directly by Monte Carlo; no smooth
     sandwich is needed for an expectation.
     """
-    if len(tuple(eval_times)) == 0:
-        raise ContractError("cylinder time set must be nonempty")
     F = coordinate_indicator_box(eval_times, box_lo, box_hi)
     return pairing_bridge(F, u_list, d, n_outer, n_inner, seed)
 
 
 def eta_pairing_independent(F1, F2, f: WeightFunction, u, d, n_outer,
                             n_inner, seed):
-    """Pairing of the weighted measure with F1(w) F2(beta), beta independent.
+    """Pairing of the weighted measure with F1(w), beta independent.
 
-    First factor by bridge conditioning of w, second factor by Gaussian
-    quadrature when F2 is trivial, else by plain Monte Carlo on beta.
+    F1 (1 when None) by bridge conditioning of w, the weight's factor by its
+    closed-form Gaussian moment; ``F2``, a payoff of beta, must be None.
     """
+    if F2 is not None:
+        raise ContractError("payoffs of beta (F2) are not supported")
     us = _check_u_list([u], d)
     _warn_small_d(d)
+    draw, divisor = _outer_step(n_outer, 2, n_inner)
     rng = make_rng(seed, 2)
-    t = np.sort(rng.random((n_outer, 2)), axis=1)
-    tau = t[:, 1] - t[:, 0]
-    if F1 is None:
-        h1 = np.ones(n_outer)
-    else:
-        h1 = _conditional_means(F1, t, us, d, n_inner, rng)
-    if F2 is None:
-        h2 = f.gaussian_moment(tau)
-    else:
-        h2 = _conditional_means(F2, t, (), 1, n_inner, rng, weight=f)
+    t = draw(rng, n_outer)
+    h1 = 1.0 if F1 is None else _conditional_means(F1, t, us, d, n_inner, rng)
+    h2 = f.gaussian_moment(t[:, 1] - t[:, 0])
     y = h1 * h2 * np.exp(_log_kernel_product(t, us, d))
-    return EstimateWithError(
-        float(y.mean() / 2.0),
-        float(y.std(ddof=1) / math.sqrt(n_outer) / 2.0),
-        n_outer * n_inner, "eta_independent")
+    return _estimate(y, divisor, n_outer * n_inner, "eta_independent")
 
 
 def _window_regression(s1, s2, t):
@@ -423,6 +435,8 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
     centered Gaussian, both handled exactly.  A fixed ``t_pair`` replaces
     the outer simplex integral by the integrand at that window.
     """
+    if F2 is not None:
+        raise ContractError("payoffs of beta (F2) are not supported")
     us = _check_u_list([u], d)
     u = us[0]
     _warn_small_d(d)
@@ -431,35 +445,20 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
     s1, s2 = float(s_pair[0]), float(s_pair[1])
     if not s1 < s2:
         raise ContractError("window must satisfy s1 < s2")
+    draw, divisor = _outer_step(n_outer, 2, n_inner, t_pair)
     rng = make_rng(seed, 3)
-    if t_pair is None:
-        t = np.sort(rng.random((n_outer, 2)), axis=1)
-        vol = 0.5
-    else:
-        t = np.tile(np.asarray(t_pair, dtype=float), (n_outer, 1))
-        vol = 1.0
-    tau = t[:, 1] - t[:, 0]
+    t = draw(rng, n_outer)
     alpha, var_x = _window_regression(s1, s2, t)
-    if F1 is None:
-        h1 = np.ones(n_outer)
-    else:
-        def block(a, v):  # X is the increment over one cell of length var_x
-            x = row_increments(v[:, None], d, n_inner, rng)[:, :, 0]
-            return F1(a[:, None, None] * u + x).mean(axis=1)
-        h1 = _chunked_means(block, alpha, var_x)
-    shift = r * u[0]
-    z_scale = 1.0 - r * r
-    if F2 is None:
-        h2 = f.gaussian_moment(z_scale * tau, mean=shift)
-    else:
-        def weight(dz):
-            return f(shift + math.sqrt(z_scale) * dz)
-        h2 = _conditional_means(F2, t, (), 1, n_inner, rng, weight=weight)
+
+    def block(sl):  # X is the increment over one cell of length var_x
+        x = row_increments(var_x[sl, None], d, n_inner, rng)[:, :, 0]
+        return F1(alpha[sl, None, None] * u + x).mean(axis=1)
+
+    h1 = 1.0 if F1 is None else _blockwise(n_outer, _CHUNK, block)
+    h2 = f.gaussian_moment((1.0 - r * r) * (t[:, 1] - t[:, 0]),
+                           mean=r * u[0])
     y = h1 * h2 * np.exp(_log_kernel_product(t, us, d))
-    return EstimateWithError(
-        float(y.mean() * vol),
-        float(y.std(ddof=1) / math.sqrt(n_outer) * vol),
-        n_outer * n_inner, "eta_correlated")
+    return _estimate(y, divisor, n_outer * n_inner, "eta_correlated")
 
 
 def eta_pairing_correlated_direct(F1, F2, f: WeightFunction, u, d, r,
@@ -469,60 +468,51 @@ def eta_pairing_correlated_direct(F1, F2, f: WeightFunction, u, d, r,
     Joint Monte Carlo of the smoothed kernel times all factors, with no
     conditioning; used to cross-check :func:`eta_pairing_correlated`.
     """
+    if F2 is not None:
+        raise ContractError("payoffs of beta (F2) are not supported")
     us = _check_u_list([u], d)
     u = us[0]
     s1, s2 = float(s_pair[0]), float(s_pair[1])
+    draw, divisor = _outer_step(n, 2, t_pair=t_pair)
     rng = make_rng(seed, 4)
-    vals = np.empty(n)
-    vol = 0.5 if t_pair is None else 1.0
-    f2_times = F2.eval_times if F2 is not None else ()
-    for lo in range(0, n, _CHUNK * 64):
-        nb = min(_CHUNK * 64, n - lo)
-        if t_pair is None:
-            t = np.sort(rng.random((nb, 2)), axis=1)
-        else:
-            t = np.tile(np.asarray(t_pair, dtype=float), (nb, 1))
+
+    def block(sl):
+        t = draw(rng, sl.stop - sl.start)
         # d-dimensional path at {s1, s2} union {t1, t2}
         times_w, pos_s, pos_t = union_times(t, (s1, s2))
         at_s, at_t = path_at(
             row_increments(np.diff(times_w, axis=1), d, 1, rng), pos_s, pos_t)
         dws = at_s[:, 0, 1] - at_s[:, 0, 0]
         dwt = at_t[:, 0, 1] - at_t[:, 0, 0]
-        # independent 1-d path z at {t1, t2} union F2 times
-        times_z, pos_e, pos_tz = union_times(t, f2_times or (1.0,))
-        ev, at_tz = path_at(
-            row_increments(np.diff(times_z, axis=1), 1, 1, rng), pos_e, pos_tz)
+        # independent 1-d path z on [0, 1], read at {t1, t2}
+        times_z, _, pos_tz = union_times(t, (1.0,))
+        at_tz, = path_at(
+            row_increments(np.diff(times_z, axis=1), 1, 1, rng), pos_tz)
         dz = at_tz[:, 0, 1, 0] - at_tz[:, 0, 0, 0]
         diff = dwt - u
         logw = log_heat_kernel_sq(np.sum(diff * diff, axis=-1), eps, d)
         v = np.exp(logw) * f(r * dwt[:, 0] + math.sqrt(1 - r * r) * dz)
-        if F1 is not None:
-            v = v * F1(dws)
-        if F2 is not None:
-            v = v * F2(ev[:, 0])
-        vals[lo:lo + nb] = v
-    return EstimateWithError(
-        float(vals.mean() * vol),
-        float(vals.std(ddof=1) / math.sqrt(n) * vol),
-        n, "eta_correlated_direct")
+        return v if F1 is None else v * F1(dws)
+
+    return _estimate(_blockwise(n, _CHUNK * 64, block), divisor, n,
+                     "eta_correlated_direct")
 
 
-def eta_mass_scan(f: WeightFunction, d, u_norms, q=None):
+def eta_mass_scan(f: WeightFunction, d, u_norms):
     """Total masses along a decreasing ||u|| scan plus log-log slope fit.
 
-    All masses come from one vectorised call of the 1-d rule; the slope is
-    fitted on their logs.  A mass outside the double range, or divergent,
-    raises a CapacityError.
+    All masses come from one vectorised call of the 1-d rule at relative
+    tolerance 1e-10; the slope is fitted on their logs.  A mass outside
+    the double range, or divergent, raises a CapacityError.
     """
-    from .simplexquad import LogIntegral, QuadratureSpec, _log_eta_1d
+    from .simplexquad import LogIntegral, _log_eta_1d
 
     u_norms = [float(x) for x in u_norms]
     if any(b >= a for a, b in zip(u_norms, u_norms[1:])):
         raise ContractError("u_norms must be strictly decreasing")
     if u_norms[-1] <= 0.0:
         raise DomainError("u_norms must be positive")
-    tol = min((q or QuadratureSpec()).target_rel_err, 1e-10)
-    logs, rels = _log_eta_1d(np.square(u_norms), d, f.gaussian_moment, tol)
+    logs, rels = _log_eta_1d(np.square(u_norms), d, f.gaussian_moment, 1e-10)
     masses = [LogIntegral(float(v), float(e), "quadrature").value
               for v, e in zip(logs, rels)]
     slope = float(np.polyfit(np.log(u_norms), logs, 1)[0])

@@ -217,15 +217,15 @@ def _log_bromwich(root_a, total, d, sigma, w):
         log_k = np.log(kve(nu, z))  # log K_nu(z) + z
     if not np.isfinite(log_k).all():
         bad = ~np.isfinite(log_k)
-        # kve is inf as z -> 0, where K_nu(z) ~ Gamma(nu)/2 (z/2)^-nu, and
-        # NaN past |z| ~ 1.07e9, where the three-term Hankel expansion
-        # matches it to 1e-14 from |z| = 1e8 on
+        # as z -> 0 kve is inf on the real axis and NaN off it (K_nu(z) ~
+        # Gamma(nu)/2 (z/2)^-nu), and NaN past |z| ~ 1.07e9, where the
+        # three-term Hankel expansion matches it to 1e-14 from |z| = 1e8 on
         zb, fix, mu = z[bad], log_k[bad], 4.0 * nu * nu
-        tiny = np.isinf(fix)
+        tiny = np.abs(zb) < 1.0
         if np.any(tiny):  # nu > 0 here: K_0(z) ~ -log z stays finite
             fix[tiny] = math.lgamma(nu) - math.log(2.0) \
                 - nu * np.log(zb[tiny] / 2.0) + zb[tiny]
-        huge = ~tiny & (np.abs(zb) > 1e8)
+        huge = np.abs(zb) > 1e8
         zh = zb[huge]
         fix[huge] = 0.5 * np.log(math.pi / (2.0 * zh)) + np.log(
             1.0 + (mu - 1.0) / (8.0 * zh)

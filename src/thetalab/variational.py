@@ -482,15 +482,14 @@ def _set_box(set_spec, d):
     return lo, hi
 
 
-def schilder_empirical_slope(set_spec, d, t_grid, n_samples, seed,
-                             ess_threshold=200.0):
+def schilder_empirical_slope(set_spec, d, t_grid, n_samples, seed):
     """Curve of -(1/t^2) log mu(t * set) by Cameron-Martin tilting.
 
     The tilt is t times the set's energy minimizer, the straight path to
     the point of the box at time 1 nearest the origin (Schilder's rate is
     half its squared norm), so the shifted cloud straddles the rare region;
     the effective sample size of the contributing weights is reported per
-    point and a low value raises the warning flag.  Paths are drawn on the
+    point and one below 200 raises the warning flag.  Paths are drawn on the
     one cell [0, 1]: the shift is linear on it, so the Cameron-Martin
     weight and w(1) depend only on the increment w(1).
     """
@@ -518,7 +517,7 @@ def schilder_empirical_slope(set_spec, d, t_grid, n_samples, seed,
         se_rel = float(np.sqrt(
             np.var(np.where(member, np.exp(logw - shift), 0.0), ddof=1)
             / n_samples) * math.exp(shift) / p_hat)
-        if ess < ess_threshold:
+        if ess < 200.0:
             warning = True
         if p_hat >= 1.0 or set_spec["type"] == "full":
             rows.append((float(t), 0.0, 0.0, float(ess)))

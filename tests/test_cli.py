@@ -265,6 +265,22 @@ def test_mass_past_the_double_range_exits_2(tmp_path, capsys):
     assert main(["mass", "--config", write(tmp_path, "u.json", doc)]) \
         == EXIT_DOMAIN
     assert "double range" in capsys.readouterr().err
+    # and past it upwards: at d = 6 and |u|^2 = 1e-310, I ~ |u|^-4 is e^1423
+    doc = {"command": "mass", "d": 6, "u": [1e-155] + [0.0] * 5}
+    assert main(["mass", "--config", write(tmp_path, "v.json", doc)]) \
+        == EXIT_DOMAIN
+    assert "leaves the double range" in capsys.readouterr().err
+
+
+def test_ldp_slope_at_a_tiny_target_in_d16(tmp_path, capsys):
+    # the Bessel routine is NaN at these tiny arguments off the real axis
+    doc = {"command": "ldp-slope", "d": 16, "u_list": [[1e-50] + [0.0] * 15],
+           "t_grid": [1, 2, 3], "format": "json"}
+    assert main(["ldp-slope", "--config", write(tmp_path, "t.json", doc)]) \
+        == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["t"] for r in rows] == [1.0, 2.0, 3.0]
+    assert all(math.isfinite(r["value"]) for r in rows)
 
 
 def test_schilder_cli_rows_and_unknown_n_cells(tmp_path, capsys):
@@ -486,6 +502,16 @@ def test_selfcheck_sabotaged_rows_fail_ldp_curve(monkeypatch):
             failures.append(name)
             break
     assert failures == ["ldp-curve-closed-form"]
+
+
+def test_selfcheck_full_tier_checks_pass():
+    # the checks that only the full tier runs, estimator-duality among them
+    quick = {name for name, _ in selfcheck.checks_for("quick")}
+    extra = [(name, fn) for name, fn in selfcheck.checks_for("full")
+             if name not in quick]
+    assert len(extra) == 5
+    for name, fn in extra:
+        fn()
 
 
 def test_selfcheck_runner_reports(capsys):

@@ -291,6 +291,27 @@ def test_eta_correlated_disjoint_window_alpha_zero():
     assert abs(est.value - want) <= 3.0 * est.stderr
 
 
+def test_eta_independent_f1_is_the_bridge_pairing():
+    # with f = 1 both routes are the k = 2 pairing of the unit bump at
+    # t = 1 with theta_u; given the gap tau, w(1) ~ N(u, v I) with
+    # v = 1 - tau, so it is also a 1-d integral over tau with weight v
+    F = gaussian_bump((1.0,), np.zeros(4))
+    f = WeightFunction("one")
+
+    def integrand(tau):
+        v = 1.0 - tau
+        return v * (1.0 + v) ** -2 * math.exp(-0.5 / (1.0 + v)) \
+            * float(heat_kernel(U4, tau, 4))
+
+    want, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+    for seed in range(5):
+        a = eta_pairing_independent(F, None, f, U4, 4, 20000, 8,
+                                    seed=60 + seed)
+        b = pairing_bridge(F, [U4], 4, 20000, 8, seed=70 + seed)
+        assert a.agrees_with(b), (seed, a, b)
+        assert abs(a.value - want) <= 3.0 * a.stderr, (seed, a, want)
+
+
 def test_window_regression_matches_gaussian_conditioner():
     # the closed-form regression of w(s2) - w(s1) on w(t2) - w(t1) = u used
     # by eta_pairing_correlated, against the Schur-complement oracle, over
@@ -317,6 +338,50 @@ def test_eta_correlated_vs_direct_small():
                                       (0.2, 0.6), 0.005, 400000, seed=38,
                                       t_pair=(0.4, 0.8))
     assert a.agrees_with(b)
+
+
+def test_sample_counts_are_checked_before_sampling():
+    # every route needs n >= 2 outer samples (a stderr) and n_inner >= 1
+    F = constant_one()
+    f = WeightFunction("one")
+    routes = {
+        "bridge": lambda n, m: pairing_bridge(F, [U4], 4, n, m, seed=0),
+        "cylinder": lambda n, m: cylinder_mass(
+            (0.5,), [-1.0] * 4, [1.0] * 4, [U4], 4, n, m, seed=0),
+        "epsilon": lambda n, m: pairing_epsilon(F, [U4], 4, (0.04, 0.02), n,
+                                                seed=0)[0],
+        "eta-independent": lambda n, m: eta_pairing_independent(
+            None, None, f, U4, 4, n, m, seed=0),
+        "eta-correlated": lambda n, m: eta_pairing_correlated(
+            None, None, f, U4, 4, 0.5, (0.2, 0.6), n, m, seed=0),
+        "eta-correlated-fixed": lambda n, m: eta_pairing_correlated(
+            None, None, f, U4, 4, 0.5, (0.2, 0.6), n, m, seed=0,
+            t_pair=(0.4, 0.8)),
+        "direct": lambda n, m: eta_pairing_correlated_direct(
+            None, None, f, U4, 4, 0.5, (0.2, 0.6), 0.01, n, seed=0),
+    }
+    for name, route in routes.items():
+        for n in (0, 1):
+            with pytest.raises(ContractError, match=f"n={n},"):
+                route(n, 1)
+        if name not in ("epsilon", "direct"):  # no inner samples
+            with pytest.raises(ContractError, match="n_inner=0"):
+                route(10, 0)
+        assert route(2, 1).n_samples == 2, name
+
+
+def test_beta_payoffs_are_rejected():
+    # payoffs of beta (F2) are not supported by any eta route
+    f = WeightFunction("one")
+    F2 = constant_one()
+    with pytest.raises(ContractError, match="F2"):
+        eta_pairing_independent(None, F2, f, U4, 4, 10, 1, seed=0)
+    with pytest.raises(ContractError, match="F2"):
+        eta_pairing_correlated(None, F2, f, U4, 4, 0.5, (0.2, 0.6), 10, 1,
+                               seed=0)
+    with pytest.raises(ContractError, match="F2"):
+        eta_pairing_correlated_direct(None, F2, f, U4, 4, 0.5, (0.2, 0.6),
+                                      0.01, 10, seed=0)
 
 
 def test_extrapolation_weights_recover_polynomials():

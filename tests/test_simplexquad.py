@@ -9,6 +9,7 @@ import pytest
 from scipy.special import exp1, gamma, gammaincc
 
 from oracles import gap_log_integrand, log_gap_tensor
+from thetalab import simplexquad
 from thetalab.cli import execute, parse_config
 from thetalab.errors import CapacityError, ContractError, DomainError
 from thetalab.estimators import (WeightFunction, eta_mass_scan,
@@ -221,6 +222,48 @@ def test_laplace_rows_match_one_row_calls():
     # ordinary ones: six unit targets at t = 4 ... 1e5
     t = np.array([4.0, 3000.0, 1e4, 1.0, 1e5])
     assert_rows_are_one_row_calls(np.repeat(t[:, None] ** 2, 5, axis=1), 6)
+
+
+def test_laplace_route_tiny_targets_off_the_real_axis():
+    # at tiny |z| kve is inf on the real axis but NaN off it, and both need
+    # the small-argument form of K_nu; with one target, log I is then
+    # -(d/2) log 2 pi + lgamma(d/2 - 1) + (1 - d/2) log(|u|^2/2) to leading
+    # order (these cases once raised "no finite peak at its saddle point")
+    for d, sq in ((6, 1e-310), (12, 1e-200), (16, 1e-100), (16, 1e-300)):
+        [got], [rel] = _log_gap_laplace([[sq]], d, 1e-10)
+        want = math.lgamma(d / 2.0 - 1.0) - d / 2.0 * math.log(2.0 * math.pi) \
+            + (1.0 - d / 2.0) * math.log(sq / 2.0)
+        assert abs(math.expm1(got - want)) <= min(rel, 1e-12), (d, sq)
+    assert_rows_are_one_row_calls(np.array([[1e-100], [1.0]]), 16)
+    assert_rows_are_one_row_calls(
+        np.array([[1e-100, 1.0], [1.0, 1.0], [1e-300, 1e-300]]), 16)
+
+
+def test_saddle_search_follows_its_edge_and_freezes_rows(monkeypatch):
+    # m zero targets at d = 1 start the saddle search at lam = 2, far below
+    # the saddle 2 + m/2: the grid follows its edge once and takes 5 steps
+    # where larger targets take 4, so the finished rows freeze while the
+    # others move.  With zero targets the integral is 2^{-m/2}/Gamma(2 + m/2)
+    m, steps = 400, []
+    real = simplexquad._log_bromwich
+
+    def counting(root_a, total, d, sigma, w):
+        if np.ndim(w) == 0:  # the search evaluates on the real axis only
+            steps[-1] += 1
+        return real(root_a, total, d, sigma, w)
+
+    monkeypatch.setattr(simplexquad, "_log_bromwich", counting)
+    sq = np.repeat([[0.0], [1e-6], [1e-4], [1.0]], m, axis=1)
+    one_row = []
+    for row in sq:
+        steps.append(0)
+        one_row.append(_log_gap_laplace([row], 1, 1e-10))
+    assert steps == [5, 5, 4, 4]
+    values, errors = _log_gap_laplace(sq, 1, 1e-10)
+    for value, error, ([one], [one_err]) in zip(values, errors, one_row):
+        assert value == one and error == one_err
+    want = -m / 2.0 * math.log(2.0) - math.lgamma(2.0 + m / 2.0)
+    assert abs(math.expm1(values[0] - want)) <= min(errors[0], 1e-14)
 
 
 def test_ldp_curve_matches_per_point_integrals():
