@@ -18,7 +18,7 @@ from .chaos import (ChaosSpectrum, IncrementSpec, SobolevIndex,
 from .errors import (CapacityError, ContractError, DomainError,
                      InfeasibleError)
 from .kernels import heat_kernel, hermite_eval, log_heat_kernel
-from .sampler import PathGrid, TimeGrid, sample_bm, sample_conditioned_bm
+from .sampler import TimeGrid, sample_conditioned_bm
 from .simplexquad import mass_m, mass_m_direct
 from .variational import closed_form_inf, minimize_energy, path_energy
 
@@ -29,7 +29,7 @@ __all__ = [
     "sobolev_norm_sq", "wick_convolve",
     "CapacityError", "ContractError", "DomainError", "InfeasibleError",
     "heat_kernel", "hermite_eval", "log_heat_kernel",
-    "PathGrid", "TimeGrid", "sample_bm", "sample_conditioned_bm",
+    "TimeGrid", "sample_conditioned_bm",
     "mass_m", "mass_m_direct",
     "closed_form_inf", "minimize_energy", "path_energy",
 ]

@@ -107,8 +107,8 @@ def _v_vec(nonzero=False):
     return f
 
 
-def _v_vec_list(nonzero=True):
-    inner = _v_vec(nonzero)
+def _v_vec_list():
+    inner = _v_vec(nonzero=True)
 
     def f(v):
         if not isinstance(v, list) or not v:

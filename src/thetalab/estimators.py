@@ -25,8 +25,8 @@ from scipy.special import hyp1f1, log_ndtr, ndtr
 
 from .errors import ContractError, DomainError
 from .kernels import log_heat_kernel_sq
-from .sampler import (bridge_adjust, interval_overlap, make_rng, path_at,
-                      row_increments, union_times)
+from .sampler import (bridge_adjust, make_rng, path_at, row_increments,
+                      union_times, window_regression)
 
 _CHUNK = 64  # outer nodes per vectorized block, keeps arrays < ~100 MB
 
@@ -235,6 +235,8 @@ def _outer_step(n, k, n_inner=1, t_pair=None):
         return (lambda rng, m: np.sort(rng.random((m, k)), axis=1),
                 math.factorial(k))
     t_pair = np.asarray(t_pair, dtype=float)
+    if t_pair.shape != (2,) or not 0.0 <= t_pair[0] < t_pair[1] <= 1.0:
+        raise ContractError(f"need 0 <= t1 < t2 <= 1, got t_pair={t_pair}")
     return (lambda rng, m: np.tile(t_pair, (m, 1))), 1
 
 
@@ -318,30 +320,29 @@ def _smoothed_rungs(F, us, d, eps_ladder, n, rng):
 
     with xi_j standard normal.  Each sample draws its tuple, raw increments
     and xi once for all rungs.  The bridge is linear in its targets, so a
-    rung only adds sum_j share_j Y_j to the zero-target bridge, share_j
-    being the part of window j crossed at an eval time: one extra
-    coordinate per window, bridged to a unit target, carries it.  The
+    rung only adds sum_j share_j Y_j to the zero-target bridge, the shares
+    being :func:`window_regression`'s at (0, e) for each eval time e.  The
     values are divided by k!, so each rung's column mean is its pairing.
     """
     k = len(us) + 1
     draw, divisor = _outer_step(n, k)
     u = np.stack(us)
-    unit = np.hstack([np.zeros((k - 1, d)), np.eye(k - 1)])
+    ends = np.asarray(F.eval_times)[:, None]  # (n_eval, 1) against rows
 
     def block(sl):
         t = draw(rng, sl.stop - sl.start)
         times, pos_eval, pos_t = union_times(t, F.eval_times)
         incs = row_increments(np.diff(times, axis=1), d, 1, rng)
         xi = rng.standard_normal((t.shape[0], k - 1, d))
-        incs = np.concatenate([incs, np.zeros(incs.shape[:3] + (k - 1,))],
-                              axis=3)
-        bridge_adjust(times, incs, pos_t[:, :-1], pos_t[:, 1:], unit)
-        ev0, share = np.split(path_at(incs, pos_eval)[0][:, 0], [d], axis=2)
+        bridge_adjust(times, incs, pos_t[:, :-1], pos_t[:, 1:],
+                      np.zeros((k - 1, d)))
+        ev0 = path_at(incs, pos_eval)[0][:, 0]
+        share, _ = window_regression(0.0, ends, t)
         g = np.diff(t, axis=1)[:, :, None]
         vals = np.empty((t.shape[0], len(eps_ladder)))
         for r, eps in enumerate(eps_ladder):
             y = g / (g + eps) * u + np.sqrt(g * eps / (g + eps)) * xi
-            ev = ev0 + np.einsum("rej,rjd->red", share, y)
+            ev = ev0 + np.einsum("erj,rjd->red", share, y)
             vals[:, r] = F(ev) * np.exp(_log_kernel_product(t, us, d, eps))
         return vals
 
@@ -414,15 +415,14 @@ def eta_pairing_independent(F1, F2, f: WeightFunction, u, d, n_outer,
     return _estimate(y, divisor, n_outer * n_inner, "eta_independent")
 
 
-def _window_regression(s1, s2, t):
-    """(alpha, var_x): w(s2) - w(s1) = alpha u + X given w(t2) - w(t1) = u.
-
-    Rows of ``t`` are windows (t1, t2); alpha = overlap/(t2 - t1) and X is
-    an independent centered Gaussian of per-coordinate variance var_x.
-    """
-    tau = t[:, 1] - t[:, 0]
-    overlap = interval_overlap((s1, s2), t.T)
-    return overlap / tau, np.clip((s2 - s1) - overlap ** 2 / tau, 0.0, None)
+def _correlated_window(r, s_pair):
+    """(s1, s2) of a correlated eta route, once r and the window are valid."""
+    s1, s2 = float(s_pair[0]), float(s_pair[1])
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"correlation r must lie in (0, 1), got {r}")
+    if not 0.0 <= s1 < s2 <= 1.0:
+        raise ContractError(f"need 0 <= s1 < s2 <= 1, got s_pair={s_pair}")
+    return s1, s2
 
 
 def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
@@ -430,29 +430,25 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
     """Correlated-noise pairing for beta = r w_1 + sqrt(1-r^2) z.
 
     F1 is a payoff of the fixed-window increment w(s2) - w(s1); its
-    conditional law given w(t2) - w(t1) = u is alpha u + X with the
-    regression coefficient alpha = overlap/(t2 - t1) and X an independent
-    centered Gaussian, both handled exactly.  A fixed ``t_pair`` replaces
-    the outer simplex integral by the integrand at that window.
+    conditional law given w(t2) - w(t1) = u is alpha u + X, the share alpha
+    and the variance of the independent centered Gaussian X taken from
+    ``window_regression``.  A fixed ``t_pair`` replaces the outer simplex
+    integral by the integrand at that window.
     """
     if F2 is not None:
         raise ContractError("payoffs of beta (F2) are not supported")
     us = _check_u_list([u], d)
     u = us[0]
     _warn_small_d(d)
-    if not 0.0 < r < 1.0:
-        raise DomainError("correlation r must lie in (0, 1)")
-    s1, s2 = float(s_pair[0]), float(s_pair[1])
-    if not s1 < s2:
-        raise ContractError("window must satisfy s1 < s2")
+    s1, s2 = _correlated_window(r, s_pair)
     draw, divisor = _outer_step(n_outer, 2, n_inner, t_pair)
     rng = make_rng(seed, 3)
     t = draw(rng, n_outer)
-    alpha, var_x = _window_regression(s1, s2, t)
+    alpha, var_x = window_regression(s1, s2, t)  # alpha: (n_outer, 1)
 
     def block(sl):  # X is the increment over one cell of length var_x
         x = row_increments(var_x[sl, None], d, n_inner, rng)[:, :, 0]
-        return F1(alpha[sl, None, None] * u + x).mean(axis=1)
+        return F1(alpha[sl, :, None] * u + x).mean(axis=1)
 
     h1 = 1.0 if F1 is None else _blockwise(n_outer, _CHUNK, block)
     h2 = f.gaussian_moment((1.0 - r * r) * (t[:, 1] - t[:, 0]),
@@ -472,7 +468,7 @@ def eta_pairing_correlated_direct(F1, F2, f: WeightFunction, u, d, r,
         raise ContractError("payoffs of beta (F2) are not supported")
     us = _check_u_list([u], d)
     u = us[0]
-    s1, s2 = float(s_pair[0]), float(s_pair[1])
+    s1, s2 = _correlated_window(r, s_pair)
     draw, divisor = _outer_step(n, 2, t_pair=t_pair)
     rng = make_rng(seed, 4)
 

@@ -5,13 +5,15 @@ from 0 (equal neighbours make zero-length cells), and increments of shape
 (rows, n, n_cells, d).  :func:`union_times` builds the grids,
 :func:`row_increments` draws raw increments, :func:`bridge_adjust`
 conditions per-row windows on prescribed increments exactly (Brownian
-bridge) and :func:`path_at` gathers cumulative sums at grid columns.  The
-fixed-grid API (:class:`TimeGrid`, :func:`sample_conditioned_bm`, ...) is
-the one-row case; :func:`cameron_martin_weight` applies a Cameron-Martin
-shift on a fixed grid with its log weight.  Streams are
-counter-based Philox keyed by (seed, stream index), so parallel workers
-draw non-overlapping deterministic substreams.  Conditioning windows
-must be pairwise disjoint.
+bridge) and :func:`path_at` gathers cumulative sums at grid columns;
+:func:`window_regression` is the same conditioning in closed form, for
+one increment.  The fixed-grid API (:class:`TimeGrid`,
+:func:`sample_conditioned_bm`, ...) is the one-row case;
+:func:`cameron_martin_weight` applies a Cameron-Martin shift on a fixed
+grid with its log weight.  Streams are counter-based Philox keyed by
+(seed, stream index), so parallel workers draw non-overlapping
+deterministic substreams.  Conditioning windows must be pairwise
+disjoint.
 """
 
 from dataclasses import dataclass
@@ -47,42 +49,11 @@ class TimeGrid:
     def dt(self):
         return np.diff(self.times)
 
-    def with_times(self, extra):
-        """New grid containing the union with ``extra`` (which must fit [0,1])."""
-        merged = np.union1d(self.times, np.asarray(extra, dtype=float))
-        return TimeGrid(merged)
-
     def index_of(self, t):
         i = int(np.searchsorted(self.times, t))
         if i >= self.times.size or self.times[i] != t:
             raise ContractError(f"time {t} is not a grid point")
         return i
-
-
-@dataclass(frozen=True)
-class PathGrid:
-    """Discretized R^d path: values[i] = w(times[i]), w(0) = 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape[0] != self.grid.times.size:
-            raise ContractError("values/grid length mismatch")
-        if v.ndim != 2:
-            raise ContractError("values must be (n_times, d)")
-        if np.any(v[0] != 0.0):
-            raise ContractError("path must start at 0")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def d(self):
-        return self.values.shape[1]
-
-    def increment(self, lo, hi):
-        return self.values[self.grid.index_of(hi)] \
-            - self.values[self.grid.index_of(lo)]
 
 
 @dataclass(frozen=True)
@@ -190,40 +161,25 @@ def sample_bm_increments(grid: TimeGrid, d, n, rng):
     return row_increments(grid.dt[None], d, n, rng)[0]
 
 
-def sample_bm(grid: TimeGrid, d, seed, n=1, stream=0):
-    """Standard d-dimensional Brownian paths on the grid.
-
-    Returns a PathGrid for n == 1, else an array (n, n_times, d).
-    """
-    rng = make_rng(seed, stream)
-    vals = _paths_from_increments(sample_bm_increments(grid, d, n, rng))
-    if n == 1:
-        return PathGrid(grid, vals[0])
-    return vals
-
-
 def sample_conditioned_bm(grid: TimeGrid,
                           constraints: IncrementConstraintSet,
-                          d, seed, n=1, stream=0):
+                          d, seed, n=1):
     """Brownian paths conditioned on the prescribed increments.
 
-    Constraint endpoints are inserted into the grid first so the residuals
-    are exact to rounding; the law is segment-wise bridge inside each
-    constrained interval and free Brownian motion outside.
+    Returns (grid, values (n, n_times, d)), the constraint endpoints
+    inserted into the grid so the residuals are exact to rounding; the law
+    is segment-wise bridge inside each constrained interval and free
+    Brownian motion outside (everywhere, for no constraints).
     """
-    grid = grid.with_times(constraints.endpoints())
+    grid = TimeGrid(np.union1d(grid.times, constraints.endpoints()))
     for _, _, u in constraints.items:
         if u.size != d:
             raise DomainError("constraint target dimension mismatch")
-    rng = make_rng(seed, stream)
-    incs = sample_bm_increments(grid, d, n, rng)
+    incs = sample_bm_increments(grid, d, n, make_rng(seed))
     cols = np.array([[grid.index_of(t) for t in constraints.endpoints()]])
     bridge_adjust(grid.times[None], incs[None], cols[:, 0::2], cols[:, 1::2],
                   [u for _, _, u in constraints.items])
-    vals = _paths_from_increments(incs)
-    if n == 1:
-        return PathGrid(grid, vals[0])
-    return grid, vals
+    return grid, _paths_from_increments(incs)
 
 
 def interval_overlap(a, b):
@@ -233,6 +189,24 @@ def interval_overlap(a, b):
     """
     return np.clip(np.minimum(a[1], b[1]) - np.maximum(a[0], b[0]),
                    0.0, None)
+
+
+def window_regression(a, b, t):
+    """(shares, variance): w(b) - w(a) regressed on the window increments.
+
+    Each row of ``t`` holds ordered times; its windows are consecutive
+    pairs, with increments dw_j = w(t_{j+1}) - w(t_j) of length g_j.  Then
+    w(b) - w(a) = sum_j share_j dw_j + X with share_j = overlap_j / g_j and
+    X independent of the dw_j, centered, of per-coordinate variance
+    (b - a) - sum_j overlap_j^2 / g_j.  ``a`` and ``b`` broadcast against
+    the rows; shares have one column per window.
+    """
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    g = np.diff(t, axis=-1)
+    overlap = interval_overlap((a, b), (t[..., :-1], t[..., 1:]))
+    var = (b[..., 0] - a[..., 0]) - np.sum(overlap ** 2 / g, axis=-1)
+    return overlap / g, np.clip(var, 0.0, None)
 
 
 def shift_on_grid(grid: TimeGrid, knots, knot_values):

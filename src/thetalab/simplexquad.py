@@ -367,7 +367,7 @@ def mass_m(u, d, q: QuadratureSpec = None):
     return gap_reduced_integral(ig, q).value
 
 
-def mass_m_direct(u, d, epsrel=1e-11):
+def mass_m_direct(u, d):
     """Dual evaluation route for m(u, d): raw 2-variable (s, t) quadrature.
 
     Kept deliberately free of the gap substitution so it can certify
@@ -384,14 +384,14 @@ def mass_m_direct(u, d, epsrel=1e-11):
     def inner(s):
         def f(t):
             return math.exp(float(log_heat_kernel(u, t - s, d)))
-        val, _ = quad(f, s, 1.0, limit=200, epsrel=epsrel, epsabs=0.0)
+        val, _ = quad(f, s, 1.0, limit=200, epsrel=1e-11, epsabs=0.0)
         return val
 
-    val, _ = quad(inner, 0.0, 1.0, limit=200, epsrel=epsrel, epsabs=0.0)
+    val, _ = quad(inner, 0.0, 1.0, limit=200, epsrel=1e-11, epsabs=0.0)
     return val
 
 
-def mc_simplex_raw(u_list, d, n, seed, eps_shift=0.0, scale_t=1.0):
+def mc_simplex_raw(u_list, d, n, seed, eps_shift=0.0):
     """Ordered-time Monte Carlo oracle for the same Delta_k integral.
 
     Samples k sorted uniforms (volume 1/k!) and averages the kernel product
@@ -404,8 +404,7 @@ def mc_simplex_raw(u_list, d, n, seed, eps_shift=0.0, scale_t=1.0):
     gaps = np.diff(t, axis=1)
     logh = np.zeros(n)
     for j, u in enumerate(us):
-        sq = float((scale_t * u) @ (scale_t * u))
-        logh += log_heat_kernel_sq(sq, gaps[:, j] + eps_shift, d)
+        logh += log_heat_kernel_sq(float(u @ u), gaps[:, j] + eps_shift, d)
     vals = np.exp(logh) / math.factorial(k)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 

@@ -26,9 +26,10 @@ class GaussianConditioner:
     Constraints are increments w(hi_j) - w(lo_j) = u_j; covariances of
     Brownian increments are interval overlaps, identical per coordinate, so
     the Schur complement is computed once on the scalar overlap matrix.
-    It is the oracle of the closed-form window regression that
-    ``eta_pairing_correlated`` uses, and of overlapping windows that
-    ``IncrementConstraintSet`` rejects.
+    It is the oracle of ``sampler.window_regression`` (the shares and
+    residual variance that ``eta_pairing_correlated`` and the epsilon
+    route use), and of overlapping windows that ``IncrementConstraintSet``
+    rejects.
     """
 
     def __init__(self, intervals, targets):

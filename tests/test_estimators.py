@@ -7,7 +7,6 @@ from scipy.integrate import dblquad, quad
 from oracles import GaussianConditioner, log_gap_tensor
 from thetalab.errors import ContractError, DomainError
 from thetalab.estimators import (EstimateWithError, WeightFunction,
-                                 _window_regression,
                                  coordinate_indicator_box, constant_one,
                                  cylinder_mass, eta_mass_scan,
                                  eta_pairing_correlated,
@@ -18,7 +17,8 @@ from thetalab.estimators import (EstimateWithError, WeightFunction,
                                  pairing_epsilon, polynomial_clipped,
                                  support_check)
 from thetalab.kernels import heat_kernel
-from thetalab.sampler import TimeGrid, sample_conditioned_bm
+from thetalab.sampler import (IncrementConstraintSet, TimeGrid,
+                              sample_conditioned_bm, window_regression)
 from thetalab.simplexquad import (SimplexIntegrand, eta_mass_integral,
                                   gap_reduced_integral, mass_m)
 
@@ -193,6 +193,17 @@ def test_duality_k3_over_seeds():
         assert b.agrees_with(e), (seed, b, e)
 
 
+def test_duality_k3_at_interior_times():
+    # at eval times inside the windows the epsilon route's shares are not
+    # 1; the bridge route, which conditions whole paths, is the reference
+    F = gaussian_bump((0.3, 0.7), np.zeros(8))
+    for seed in range(6):
+        b = pairing_bridge(F, [U4, U4], 4, 2000, 8, seed=3000 + seed)
+        e, _ = pairing_epsilon(F, [U4, U4], 4, (0.04, 0.02, 0.01), 20000,
+                               seed=4000 + seed)
+        assert b.agrees_with(e), (seed, b, e)
+
+
 def test_pairing_linearity():
     bump = gaussian_bump((1.0,), np.zeros(4))
     one = constant_one(1.0)
@@ -268,12 +279,22 @@ def test_eta_correlated_reductions():
     est = eta_pairing_correlated(None, None, f_one, U4, 4, 0.5,
                                  (0.2, 0.6), 60000, 1, seed=35)
     assert abs(est.value - mass_m(U4, 4)) <= 3.0 * est.stderr
-    with pytest.raises(DomainError):
-        eta_pairing_correlated(None, None, f_one, U4, 4, 1.2,
-                               (0.2, 0.6), 10, 1, seed=0)
-    with pytest.raises(ContractError):
-        eta_pairing_correlated(None, None, f_one, U4, 4, 0.5,
-                               (0.6, 0.2), 10, 1, seed=0)
+    # both correlated routes reject the same inputs before sampling
+    routes = (
+        lambda r, s, t: eta_pairing_correlated(
+            None, None, f_one, U4, 4, r, s, 10, 1, seed=0, t_pair=t),
+        lambda r, s, t: eta_pairing_correlated_direct(
+            None, None, f_one, U4, 4, r, s, 0.01, 10, seed=0, t_pair=t))
+    bad = [(DomainError, (r, (0.2, 0.6), None)) for r in (1.2, 0.0, -0.5)]
+    bad += [(ContractError, (0.5, s, None))
+            for s in ((0.6, 0.2), (0.4, 0.4), (-0.1, 0.5), (0.5, 1.2))]
+    bad += [(ContractError, (0.5, (0.2, 0.6), t))
+            for t in ((0.8, 0.4), (0.4, 0.4), (0.4, 1.5), (-0.2, 0.5),
+                      (0.1, 0.2, 0.3))]
+    for route in routes:
+        for exc, args in bad:
+            with pytest.raises(exc):
+                route(*args)
 
 
 def test_eta_correlated_disjoint_window_alpha_zero():
@@ -313,15 +334,17 @@ def test_eta_independent_f1_is_the_bridge_pairing():
 
 
 def test_window_regression_matches_gaussian_conditioner():
-    # the closed-form regression of w(s2) - w(s1) on w(t2) - w(t1) = u used
-    # by eta_pairing_correlated, against the Schur-complement oracle, over
-    # random windows (disjoint, nested and partly overlapping)
+    # the closed-form regression of w(s2) - w(s1) on w(t2) - w(t1) = u that
+    # eta_pairing_correlated takes from the sampler, against the
+    # Schur-complement oracle, over random windows (disjoint, nested and
+    # partly overlapping)
     rng = np.random.default_rng(40)
     s = np.sort(rng.random((200, 2)), axis=1)
     t = np.sort(rng.random((200, 2)), axis=1)
     u = np.array([0.7, -1.2, 0.4, 2.0])
     for (s1, s2), t_row in zip(s, t):
-        alpha, var_x = _window_regression(s1, s2, t_row[None])
+        shares, var_x = window_regression(s1, s2, t_row[None])
+        alpha = shares[:, 0]
         cond = GaussianConditioner([t_row], [u])
         mean, var = cond.condition_increment(s1, s2)
         assert alpha[0] == pytest.approx(
@@ -411,10 +434,9 @@ def test_eta_mass_scan_properties():
 def test_support_check_witness():
     grid = TimeGrid(np.linspace(0, 1, 65))
     u = np.array([0.8, 0.0])
-    from thetalab.sampler import IncrementConstraintSet
     cons = IncrementConstraintSet(((0.25, 0.75, u),))
-    path = sample_conditioned_bm(grid, cons, 2, seed=39)
-    ok, witness = support_check(path.values, [u], tol=1e-9)
+    _, vals = sample_conditioned_bm(grid, cons, 2, seed=39)
+    ok, witness = support_check(vals[0], [u], tol=1e-9)
     assert ok and len(witness) == 2
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from oracles import GaussianConditioner
 from thetalab.errors import ContractError, DomainError
-from thetalab.sampler import (IncrementConstraintSet, PathGrid, TimeGrid,
+from thetalab.sampler import (IncrementConstraintSet, TimeGrid,
                               cameron_martin_weight, interval_overlap,
-                              make_rng, sample_bm, sample_bm_increments,
-                              sample_conditioned_bm, shift_on_grid)
+                              make_rng, sample_bm_increments,
+                              sample_conditioned_bm, shift_on_grid,
+                              window_regression)
 
 
 def test_time_grid_contract():
@@ -23,16 +24,6 @@ def test_time_grid_contract():
     assert g.index_of(0.25) == 1
     with pytest.raises(ContractError):
         g.index_of(0.3)
-
-
-def test_path_grid_contract():
-    g = TimeGrid(np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ContractError):
-        PathGrid(g, np.ones((3, 2)))          # must start at 0
-    with pytest.raises(ContractError):
-        PathGrid(g, np.zeros((2, 2)))         # length mismatch
-    p = PathGrid(g, np.array([[0.0], [1.0], [3.0]]))
-    assert p.increment(0.5, 1.0) == pytest.approx(2.0)
 
 
 def test_constraint_set_overlap_rejection():
@@ -141,10 +132,9 @@ def test_cameron_martin_unbiased():
 
 def test_cameron_martin_shift_path():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-    path = PathGrid(grid, np.array([[0.0], [0.3], [0.1]]))
+    incs = np.array([[[0.3], [-0.2]]])    # the path 0, 0.3, 0.1
     phi = shift_on_grid(grid, [0.0, 1.0], [[0.0], [2.0]])
-    shifted, logw = cameron_martin_weight(
-        grid, np.diff(path.values, axis=0)[None], phi)
+    shifted, logw = cameron_martin_weight(grid, incs, phi)
     assert shifted[0].sum(axis=0)[0] == pytest.approx(2.1)
     # W = -<dphi, dw>/dt - 0.5 ||phi'||^2 dt with phi' = 2
     want = -(2.0 * 0.3 / 0.5 + 2.0 * (-0.2) / 0.5) * 0.5 - 0.5 * 4.0
@@ -152,9 +142,46 @@ def test_cameron_martin_shift_path():
 
 
 def test_sample_bm_shapes():
+    # no constraints: plain Brownian paths on the grid, one stream
     grid = TimeGrid(np.linspace(0, 1, 9))
-    p = sample_bm(grid, 3, seed=2)
-    assert isinstance(p, PathGrid) and p.d == 3
-    vals = sample_bm(grid, 3, seed=2, n=5)
-    assert vals.shape == (5, 9, 3)
-    assert np.allclose(vals[0], p.values)
+    free = IncrementConstraintSet(())
+    g, one = sample_conditioned_bm(grid, free, 3, seed=2)
+    _, five = sample_conditioned_bm(grid, free, 3, seed=2, n=5)
+    assert np.array_equal(g.times, grid.times)
+    assert one.shape == (1, 9, 3) and five.shape == (5, 9, 3)
+    assert np.array_equal(one[0], five[0])
+    assert np.all(five[:, 0] == 0.0)
+
+
+def test_window_regression_matches_conditioner_on_window_rows():
+    # shares and residual variance of w(b) - w(a) given 1-3 consecutive
+    # window increments, against the Schur-complement oracle, for query
+    # intervals inside, straddling and outside the windows
+    rng = np.random.default_rng(52)
+    for m in (1, 2, 3):
+        rows = []
+        while len(rows) < 40:
+            t = np.sort(rng.uniform(0.05, 0.95, m + 1))
+            if np.diff(t).min() > 0.02:
+                rows.append(t)
+        t = np.array(rows)
+        t0, t1, tm = t[:, 0], t[:, 1], t[:, -1]
+        queries = [
+            (t0 + 0.25 * (t1 - t0), t0 + 0.75 * (t1 - t0)),  # in window 1
+            ((t0 + t1) / 2.0, (t[:, -2] + tm) / 2.0),        # across windows
+            (t0 / 2.0, (t0 + t1) / 2.0),                     # straddling t0
+            ((t[:, -2] + tm) / 2.0, (tm + 1.0) / 2.0),       # straddling tm
+            (np.zeros(len(t)), t0 / 2.0),                    # before
+            ((tm + 1.0) / 2.0, np.ones(len(t))),             # after
+            (np.zeros(len(t)), np.ones(len(t))),             # covering
+        ]
+        for a, b in queries:
+            shares, var = window_regression(a, b, t)  # (a, b) per row
+            assert shares.shape == (len(t), m) and var.shape == (len(t),)
+            for row, a_r, b_r, s_r, v_r in zip(t, a, b, shares, var):
+                cond = GaussianConditioner(
+                    np.column_stack([row[:-1], row[1:]]), np.ones((m, 1)))
+                _, want_var = cond.condition_increment(a_r, b_r)
+                assert np.allclose(s_r, cond.alpha_coefficients(a_r, b_r),
+                                   rtol=0.0, atol=1e-12)
+                assert v_r == pytest.approx(want_var, abs=1e-12)
