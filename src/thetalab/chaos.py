@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import exprel, gammaln
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _check_dim, _target
 from .kernels import N_MAX, log_heat_kernel, log_hermite_sq_over_fact_seq
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
@@ -56,8 +56,9 @@ class IncrementSpec:
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.u, dtype=float))
         object.__setattr__(self, "u", u)
-        if not (0.0 <= self.s < self.t <= 1.0):
-            raise DomainError("need 0 <= s < t <= 1")
+        if not 0.0 <= self.s < self.t <= 1.0:
+            raise DomainError("t: need s < t" if self.s >= self.t
+                              else "s, t: need 0 <= s < t <= 1")
 
 
 def sobolev_norm_sq(sp: ChaosSpectrum, idx: SobolevIndex):
@@ -96,14 +97,11 @@ def delta_increment_spectrum(spec: IncrementSpec, d: int, K: int):
     level keeps its relative accuracy.  Levels beyond the double range raise
     DomainError naming r.
     """
-    if np.all(spec.u == 0.0):
-        raise DomainError("delta-increment spectrum requires u != 0")
+    _target("u", spec.u, d)
     if K < 0:
         raise DomainError("K must be nonnegative")
     if K > N_MAX:
         raise CapacityError(f"K={K} exceeds N_MAX={N_MAX}")
-    if spec.u.size != d:
-        raise DomainError(f"u has dimension {spec.u.size}, expected {d}")
     tau = spec.t - spec.s
     r = float(np.linalg.norm(spec.u)) / np.sqrt(tau)
     log_h = log_hermite_sq_over_fact_seq(K, r)
@@ -188,8 +186,7 @@ def delta_increment_norm_sq(spec: IncrementSpec, d: int, idx: SobolevIndex):
     (2 pi tau)^{-d} e^{-|x|^2/2} _mehler_mean(d, gamma, |x|^2).
     """
     _check_convergent(d, idx)
-    if spec.u.size != d:
-        raise DomainError(f"u has dimension {spec.u.size}, expected {d}")
+    _check_dim("u", spec.u, d)
     tau = spec.t - spec.s
     x2 = float(spec.u @ spec.u) / tau
     with np.errstate(divide="ignore"):

@@ -2,10 +2,11 @@
 
 Usage: ``thetalab <command> --config file.json [--seed N] [--out path]
 [--format csv|json] [--strict]``.  Configs are flat JSON documents holding
-the command name, its parameters and the seed; unknown fields are rejected
-and validation errors name the offending field.  Every artifact carries a
-header block with the config hash, seed and package version so results are
-traceable to exact inputs.
+the command name, its parameters and the seed.  The schema rejects unknown
+fields and checks types; the library objects a config builds check the
+rest, and each of their typed errors gets the config path of the argument
+it names.  Every artifact carries a header block with the config hash,
+seed and package version so results are traceable to exact inputs.
 
 Exit codes: 0 success, 2 domain/schema error, 3 budget or convergence
 warning escalated by --strict, 4 infeasible program.
@@ -26,14 +27,15 @@ from . import __version__
 from .chaos import (IncrementSpec, SobolevIndex, delta_increment_norm_sq,
                     delta_increment_spectrum, sobolev_norm_sq)
 from .errors import (CapacityError, ContractError, DomainError,
-                     InfeasibleError)
+                     InfeasibleError, _check_dim)
 from .estimators import (WeightFunction, eta_mass_scan, make_payoff,
                          pairing_bridge, pairing_epsilon)
 from .selfcheck import run_selfcheck
 from .simplexquad import (QuadratureSpec, SimplexIntegrand, eta_log_integral,
                           gap_reduced_integral, ldp_mass_curve)
-from .variational import (BoxConstraint, ConstraintProgram, ldp_slope_fit,
-                          minimize_energy, schilder_empirical_slope)
+from .variational import (BoxConstraint, ConstraintProgram, _set_box,
+                          ldp_slope_fit, minimize_energy,
+                          schilder_empirical_slope)
 
 COMMANDS = ("mass", "ldp-slope", "pairing", "eta", "chaos-norm", "rate-min",
             "asymptotic-scan", "schilder", "selfcheck")
@@ -145,8 +147,7 @@ def _v_enum(*options):
 
 _EVAL_TIMES = _v_num_list(lo=0.0, hi=1.0)
 
-# payoff id -> {param: (validator, required)}; lengths against d are
-# checked in _cross_validate
+# payoff id -> {param: (validator, required)}
 PAYOFF_PARAMS = {
     "one": {"times": (_v_num_list(lo=0.0, hi=1.0, max_len=1), False)},
     "gaussian_bump": {"times": (_EVAL_TIMES, True),
@@ -188,13 +189,12 @@ def _v_payoff(v):
         raise ValueError("params: expected an object")
     params, errors = _check_fields(v.get("params", {}),
                                    PAYOFF_PARAMS[v["id"]])
-    if not errors and v["id"] == "indicator_box" \
-            and len(params["hi"]) != len(params["lo"]):
-        errors.append(f"hi: length {len(params['hi'])} does not match "
-                      f"lo (length {len(params['lo'])})")
     if errors:
         raise ValueError("; ".join(f"params.{e}" for e in errors))
-    make_payoff(v["id"], params)  # semantic checks such as lo <= hi
+    try:  # checks such as lo <= hi; the lengths against d come later
+        make_payoff(v["id"], params)
+    except ContractError as exc:
+        raise ValueError(f"params.{exc}") from None
     return {"id": v["id"], "params": params}
 
 
@@ -308,7 +308,7 @@ SCHEMAS = {
         "u": (_v_vec(nonzero=True), True),
         "f": (_v_weight, True),
         "variant": (_v_enum("independent", "correlated"), True),
-        "r": (_v_num(lo=0.0, hi=1.0, strict_lo=True), False),
+        "r": (_v_num(), False),
     },
     "chaos-norm": {
         "d": (_v_int(lo=1), True),
@@ -382,57 +382,39 @@ def parse_config(text):
     if fmt not in ("csv", "json"):
         errors.append("format: expected 'csv' or 'json'")
 
-    # cross-field checks
-    if not errors:
-        errors.extend(_cross_validate(command, params))
+    errors = errors or _build_errors(command, params)
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(command, params, seed, output, fmt)
 
 
-def _cross_validate(command, p):
-    errs = []
-    dim = p.get("d")
+# field or command -> (config path of the arguments, build of the object)
+_BUILDS = {
+    "u": ("", lambda p: _check_dim("u", p["u"], p["d"])),
+    "u_list": ("", lambda p: SimplexIntegrand(p["d"], p["u_list"])),
+    "payoff": ("payoff.params.", lambda p: make_payoff(
+        p["payoff"]["id"], p["payoff"]["params"]).check(p["d"])),
+    "s": ("", lambda p: IncrementSpec(p["u"], p["s"], p["t"])),
+    "r": ("", lambda p: WeightFunction(**p["f"]).correlated_moment(
+        p["r"], p["u"][0])),
+    "rate-min": ("", lambda p: _program(p).check(p["d"])),
+    "set": ("set.", lambda p: _set_box(p["set"], p["d"])),
+}
 
-    def check_dim(vec, name, n_eval=1):
-        if dim is not None and len(vec) != n_eval * dim:
-            errs.append(f"{name}: length {len(vec)} does not match d={dim}"
-                        + (f" x {n_eval} eval times" if n_eval > 1 else ""))
 
-    if command in ("mass", "eta", "chaos-norm"):
-        check_dim(p["u"], "u")
-    if command in ("ldp-slope", "pairing"):
-        for i, u in enumerate(p["u_list"]):
-            check_dim(u, f"u_list[{i}]")
-    if command == "pairing":
-        payoff = p["payoff"]["params"]
-        for name in ("center", "lo", "hi"):
-            if name in payoff:  # the bump center stacks all eval times
-                check_dim(payoff[name], f"payoff.params.{name}",
-                          len(payoff["times"]) if name == "center" else 1)
-    if command == "chaos-norm" and not p["s"] < p["t"]:
-        errs.append("t: need s < t")
-    if command == "eta" and p["variant"] == "correlated":
-        if "r" not in p:
-            errs.append("r: required for variant 'correlated'")
-        elif not p["r"] < 1.0:
-            errs.append("r: must lie strictly inside (0, 1)")
-    if command == "rate-min":
-        if not p.get("increments") and not p.get("boxes"):
-            errs.append("increments: program needs increments or boxes")
-        for i, (lo, hi, u) in enumerate(p.get("increments", [])):
-            check_dim(u, f"increments[{i}]")
-        for i, box in enumerate(p.get("boxes", [])):
-            for side in ("lo", "hi"):
-                if side in box:
-                    check_dim(box[side], f"boxes[{i}].{side}")
-    if command == "schilder" and p["set"]["type"] == "box_at_one":
-        check_dim(p["set"]["lo"], "set.lo")
-        check_dim(p["set"]["hi"], "set.hi")
-    if command == "schilder" and p["set"]["type"] == "halfspace" \
-            and p["set"]["coord"] >= dim:
-        errs.append(f"set.coord: {p['set']['coord']} is not below d={dim}")
-    return errs
+def _build_errors(command, p):
+    """Typed errors of the library objects, prefixed with config paths."""
+    errors = []
+    if p.get("variant") == "correlated" and "r" not in p:
+        errors.append("r: required for variant 'correlated'")
+    for path, build in (_BUILDS[k] for k in (*p, command) if k in _BUILDS):
+        try:
+            build(p)
+        except InfeasibleError:
+            pass  # an empty set is an answer, exit 4, not a config error
+        except (DomainError, ContractError, CapacityError) as exc:
+            errors.append(f"{path}{exc}")
+    return errors
 
 
 def emit_config(cfg: ExperimentConfig):
@@ -499,15 +481,10 @@ def _run_pairing(p, seed):
 
 def _run_eta(p, seed):
     # the pairing with F1 = F2 = 1: the integral over the gap g of p_g(u)
-    # M(g), M(g) = E f(beta increment); in the correlated variant that
-    # increment has mean r u_1 and variance (1 - r^2) g
-    f = WeightFunction(p["f"]["family"], p["f"]["param"])
-    moment = f.gaussian_moment
-    if p["variant"] == "correlated":
-        r, u1 = p["r"], p["u"][0]
-
-        def moment(g):
-            return f.gaussian_moment((1.0 - r * r) * g, mean=r * u1)
+    # M(g), M(g) = E f(beta increment)
+    f = WeightFunction(**p["f"])
+    moment = f.gaussian_moment if p["variant"] == "independent" \
+        else f.correlated_moment(p["r"], p["u"][0])
     res = eta_log_integral(p["u"], p["d"], moment)
     rows = [{"value": res.value, "stderr": res.rel_err * res.value,
              "method": res.method}]
@@ -529,18 +506,15 @@ def _run_chaos_norm(p, seed):
     return meta, ("value", "exact", "tail", "divergent"), rows, False
 
 
-def _run_rate_min(p, seed):
-    def side(b, name, fill):
-        if b.get(name) is None:
-            return None
-        return [fill if x is None else x for x in b[name]]
-
-    boxes = tuple(BoxConstraint(b["time"], side(b, "lo", -math.inf),
-                                side(b, "hi", math.inf))
+def _program(p):
+    boxes = tuple(BoxConstraint(b["time"], b.get("lo"), b.get("hi"))
                   for b in p.get("boxes", []))
-    prog = ConstraintProgram(increments=p.get("increments", ()), boxes=boxes)
+    return ConstraintProgram(increments=p.get("increments", ()), boxes=boxes)
+
+
+def _run_rate_min(p, seed):
     path, value, diag = minimize_energy(
-        prog, n_extra_knots=p.get("n_extra_knots", 0))
+        _program(p), n_extra_knots=p.get("n_extra_knots", 0))
     cols = ("time",) + tuple(f"x_{j + 1}" for j in range(path.d))
     rows = [dict(zip(cols, map(float, (t, *v))))
             for t, v in zip(path.knots, path.values)]
@@ -550,8 +524,8 @@ def _run_rate_min(p, seed):
 
 
 def _run_asymptotic_scan(p, seed):
-    f = WeightFunction(p["f"]["family"], p["f"]["param"])
-    pairs, slope = eta_mass_scan(f, p["d"], p["u_norms"])
+    pairs, slope = eta_mass_scan(WeightFunction(**p["f"]), p["d"],
+                                 p["u_norms"])
     rows = [{"u_norm": n, "mass": m} for n, m in pairs]
     return {"loglog_slope": slope}, ("u_norm", "mass"), rows, False
 
@@ -690,16 +664,15 @@ def main(argv=None):
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
 
+    overrides = {k: v for k, v in (("seed", args.seed), ("output", args.out),
+                                   ("format", args.format)) if v is not None}
     try:
         doc = json.loads(text)
-        if isinstance(doc, dict):
-            if args.seed is not None:
-                doc["seed"] = args.seed
-            if args.out is not None:
-                doc["output"] = args.out
-            if args.format is not None:
-                doc["format"] = args.format
-            text = json.dumps(doc)
+    except json.JSONDecodeError:
+        doc = None  # parse_config names the error
+    if isinstance(doc, dict) and overrides:
+        text = json.dumps({**doc, **overrides})
+    try:
         cfg = parse_config(text)
     except ConfigError as exc:
         for err in exc.errors:

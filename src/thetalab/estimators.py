@@ -17,13 +17,13 @@ representation and is what the acceptance suite checks.
 import inspect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import hyp1f1, log_ndtr, ndtr
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, _check_dim, _target
 from .kernels import log_heat_kernel_sq
 from .sampler import (bridge_adjust, make_rng, path_at, row_increments,
                       union_times, window_regression)
@@ -55,17 +55,22 @@ class CylinderFunctional:
     eval_times: tuple
     payoff: object  # callable, (..., n_eval, dim) -> (...)
     name: str = "custom"
+    # (name, array, rows) of the parameter vectors, rows x d entries each
+    vectors: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.eval_times)
-        if len(ts) == 0:
-            raise ContractError("eval_times must be nonempty")
-        if any(not 0.0 <= t <= 1.0 for t in ts):
-            raise ContractError("eval_times must lie in [0, 1]")
+        if not ts or any(not 0.0 <= t <= 1.0 for t in ts):
+            raise ContractError("eval_times: need one or more, in [0, 1]")
         object.__setattr__(self, "eval_times", ts)
 
     def __call__(self, values):
         return self.payoff(values)
+
+    def check(self, d):
+        """ContractError naming a parameter vector that does not fit R^d."""
+        for name, v, rows in self.vectors:
+            _check_dim(name, v, d, ContractError, rows)
 
 
 def gaussian_bump(times, center, width=1.0):
@@ -77,21 +82,26 @@ def gaussian_bump(times, center, width=1.0):
         diff = flat - center
         return np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * width ** 2))
 
-    return CylinderFunctional(tuple(times), payoff, "gaussian_bump")
+    return CylinderFunctional(tuple(times), payoff, "gaussian_bump",
+                              (("center", center, len(times)),))
 
 
 def coordinate_indicator_box(times, lo, hi):
     """Indicator of the path lying in the box [lo, hi] at every eval time."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo = np.asarray(lo, dtype=float).ravel()
+    hi = np.asarray(hi, dtype=float).ravel()
+    if hi.size != lo.size:
+        raise ContractError(f"hi: length {hi.size} does not match lo "
+                            f"(length {lo.size})")
     if np.any(hi < lo):
-        raise ContractError("degenerate box: hi < lo")
+        raise ContractError("hi: degenerate box, hi < lo")
 
     def payoff(values):
         inside = np.all((values >= lo) & (values <= hi), axis=(-2, -1))
         return inside.astype(float)
 
-    return CylinderFunctional(tuple(times), payoff, "indicator_box")
+    return CylinderFunctional(tuple(times), payoff, "indicator_box",
+                              (("lo", lo, 1), ("hi", hi, 1)))
 
 
 def polynomial_clipped(times, coeffs, clip=10.0):
@@ -167,6 +177,13 @@ class WeightFunction:
             return np.abs(x) ** self.param
         return np.exp(self.param * np.abs(x))
 
+    def correlated_moment(self, r, u1):
+        """g -> E f(beta increment) over a gap g, for beta = r w_1 +
+        sqrt(1 - r^2) z given u: mean r u_1 and variance (1 - r^2) g."""
+        if not 0.0 < r < 1.0:
+            raise DomainError("r: must lie strictly inside (0, 1)")
+        return lambda g: self.gaussian_moment((1.0 - r * r) * g, mean=r * u1)
+
     def gaussian_moment(self, var, mean=0.0):
         """E[f(mean + sqrt(var) Z)], Z standard normal, in closed form.
 
@@ -202,22 +219,20 @@ class WeightFunction:
                           + log_ndtr(m / sd + a * sd)) for m in (mean, -mean))
 
 
-def _check_u_list(u_list, d):
-    us = tuple(np.atleast_1d(np.asarray(u, dtype=float)) for u in u_list)
-    for u in us:
-        if u.size != d:
-            raise DomainError("increment target dimension mismatch")
-        if np.all(u == 0.0):
-            raise DomainError("increment targets must be nonzero")
-    return us
-
-
 def _warn_small_d(d):
     if d < 4:
         warnings.warn(
             f"d={d} is below the d >= 4 regime of the local-time theory; "
             "results are for debugging against closed forms only",
             stacklevel=3)
+
+
+def _window(name, pair):
+    """A time window (a, b) as an array, once 0 <= a < b <= 1."""
+    pair = np.asarray(pair, dtype=float)
+    if pair.shape != (2,) or not 0.0 <= pair[0] < pair[1] <= 1.0:
+        raise ContractError(f"{name}: need 0 <= a < b <= 1, got {pair}")
+    return pair
 
 
 def _outer_step(n, k, n_inner=1, t_pair=None):
@@ -234,9 +249,7 @@ def _outer_step(n, k, n_inner=1, t_pair=None):
     if t_pair is None:
         return (lambda rng, m: np.sort(rng.random((m, k)), axis=1),
                 math.factorial(k))
-    t_pair = np.asarray(t_pair, dtype=float)
-    if t_pair.shape != (2,) or not 0.0 <= t_pair[0] < t_pair[1] <= 1.0:
-        raise ContractError(f"need 0 <= t1 < t2 <= 1, got t_pair={t_pair}")
+    t_pair = _window("t_pair", t_pair)
     return (lambda rng, m: np.tile(t_pair, (m, 1))), 1
 
 
@@ -289,7 +302,8 @@ def pairing_bridge(F: CylinderFunctional, u_list, d, n_outer, n_inner,
     variance already carries the inner noise, so the reported stderr
     propagates both stages.
     """
-    us = _check_u_list(u_list, d)
+    us = tuple(_target(f"u_list[{i}]", u, d) for i, u in enumerate(u_list))
+    F.check(d)
     _warn_small_d(d)
     draw, divisor = _outer_step(n_outer, len(us) + 1, n_inner)
     rng = make_rng(seed, 1)
@@ -363,14 +377,14 @@ def pairing_epsilon(F: CylinderFunctional, u_list, d, eps_ladder,
     Returns (extrapolated EstimateWithError, per-epsilon ladder of
     (eps, value, stderr) triples).
     """
-    us = _check_u_list(u_list, d)
+    us = tuple(_target(f"u_list[{i}]", u, d) for i, u in enumerate(u_list))
+    F.check(d)
     _warn_small_d(d)
     eps_ladder = [float(e) for e in eps_ladder]
-    if len(eps_ladder) < 2:
-        raise ContractError("epsilon ladder needs at least two rungs")
-    if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])) \
-            or any(e <= 0.0 for e in eps_ladder):
-        raise ContractError("epsilon ladder must be positive and decreasing")
+    if len(eps_ladder) < 2 or min(eps_ladder) <= 0.0 \
+            or any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
+        raise ContractError("eps_ladder: need two or more positive, "
+                            "decreasing rungs")
     vals = _smoothed_rungs(F, us, d, eps_ladder, n_per_eps,
                            make_rng(seed, 100))
     root_n = math.sqrt(n_per_eps)
@@ -404,7 +418,9 @@ def eta_pairing_independent(F1, F2, f: WeightFunction, u, d, n_outer,
     """
     if F2 is not None:
         raise ContractError("payoffs of beta (F2) are not supported")
-    us = _check_u_list([u], d)
+    us = (_target("u", u, d),)
+    if F1 is not None:
+        F1.check(d)
     _warn_small_d(d)
     draw, divisor = _outer_step(n_outer, 2, n_inner)
     rng = make_rng(seed, 2)
@@ -413,16 +429,6 @@ def eta_pairing_independent(F1, F2, f: WeightFunction, u, d, n_outer,
     h2 = f.gaussian_moment(t[:, 1] - t[:, 0])
     y = h1 * h2 * np.exp(_log_kernel_product(t, us, d))
     return _estimate(y, divisor, n_outer * n_inner, "eta_independent")
-
-
-def _correlated_window(r, s_pair):
-    """(s1, s2) of a correlated eta route, once r and the window are valid."""
-    s1, s2 = float(s_pair[0]), float(s_pair[1])
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"correlation r must lie in (0, 1), got {r}")
-    if not 0.0 <= s1 < s2 <= 1.0:
-        raise ContractError(f"need 0 <= s1 < s2 <= 1, got s_pair={s_pair}")
-    return s1, s2
 
 
 def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
@@ -437,10 +443,10 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
     """
     if F2 is not None:
         raise ContractError("payoffs of beta (F2) are not supported")
-    us = _check_u_list([u], d)
-    u = us[0]
+    u = _target("u", u, d)
+    moment = f.correlated_moment(r, u[0])
     _warn_small_d(d)
-    s1, s2 = _correlated_window(r, s_pair)
+    s1, s2 = _window("s_pair", s_pair)
     draw, divisor = _outer_step(n_outer, 2, n_inner, t_pair)
     rng = make_rng(seed, 3)
     t = draw(rng, n_outer)
@@ -451,9 +457,8 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
         return F1(alpha[sl, :, None] * u + x).mean(axis=1)
 
     h1 = 1.0 if F1 is None else _blockwise(n_outer, _CHUNK, block)
-    h2 = f.gaussian_moment((1.0 - r * r) * (t[:, 1] - t[:, 0]),
-                           mean=r * u[0])
-    y = h1 * h2 * np.exp(_log_kernel_product(t, us, d))
+    y = h1 * moment(t[:, 1] - t[:, 0]) \
+        * np.exp(_log_kernel_product(t, (u,), d))
     return _estimate(y, divisor, n_outer * n_inner, "eta_correlated")
 
 
@@ -466,9 +471,9 @@ def eta_pairing_correlated_direct(F1, F2, f: WeightFunction, u, d, r,
     """
     if F2 is not None:
         raise ContractError("payoffs of beta (F2) are not supported")
-    us = _check_u_list([u], d)
-    u = us[0]
-    s1, s2 = _correlated_window(r, s_pair)
+    u = _target("u", u, d)
+    f.correlated_moment(r, u[0])  # only checks r: beta is sampled here
+    s1, s2 = _window("s_pair", s_pair)
     draw, divisor = _outer_step(n, 2, t_pair=t_pair)
     rng = make_rng(seed, 4)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, _check_dim
 
 
 def make_rng(seed, stream=0):
@@ -172,9 +172,8 @@ def sample_conditioned_bm(grid: TimeGrid,
     Brownian motion outside (everywhere, for no constraints).
     """
     grid = TimeGrid(np.union1d(grid.times, constraints.endpoints()))
-    for _, _, u in constraints.items:
-        if u.size != d:
-            raise DomainError("constraint target dimension mismatch")
+    for i, (_, _, u) in enumerate(constraints.items):
+        _check_dim(f"constraints.items[{i}]", u, d)
     incs = sample_bm_increments(grid, d, n, make_rng(seed))
     cols = np.array([[grid.index_of(t) for t in constraints.endpoints()]])
     bridge_adjust(grid.times[None], incs[None], cols[:, 0::2], cols[:, 1::2],

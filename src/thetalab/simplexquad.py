@@ -22,7 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import kve
 
-from .errors import CapacityError, ContractError, DomainError
+from .errors import (CapacityError, ContractError, DomainError,
+                     _check_dim, _target)
 from .kernels import log_heat_kernel, log_heat_kernel_sq
 
 _CUT = 45.0        # a panel ends where log f is _CUT below its peak
@@ -56,15 +57,12 @@ class SimplexIntegrand:
     scale_t: float = 1.0
 
     def __post_init__(self):
-        us = tuple(np.atleast_1d(np.asarray(u, dtype=float))
-                   for u in self.u_list)
+        # u_j = 0 is non-integrable for d >= 2
+        check = _target if self.d >= 2 else _check_dim
+        us = tuple(check(f"u_list[{i}]", u, self.d)
+                   for i, u in enumerate(self.u_list))
         if len(us) < 1:
             raise DomainError("need at least one increment target (k >= 2)")
-        for u in us:
-            if u.size != self.d:
-                raise DomainError("increment target dimension mismatch")
-            if np.all(u == 0.0) and self.d >= 2:
-                raise DomainError("u_j = 0 is non-integrable for d >= 2")
         if self.scale_t <= 0.0:
             raise DomainError("scale_t must be positive")
         object.__setattr__(self, "u_list", us)
@@ -360,10 +358,7 @@ def gap_reduced_integral(ig: SimplexIntegrand, q: QuadratureSpec = None):
 
 def mass_m(u, d, q: QuadratureSpec = None):
     """Total mass m(u, d) = integral over Delta_2 of p^d_{t-s}(u)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.all(u == 0.0):
-        raise DomainError("mass requires u != 0")
-    ig = SimplexIntegrand(d, (u,))
+    ig = SimplexIntegrand(d, (_target("u", u, d),))
     return gap_reduced_integral(ig, q).value
 
 
@@ -377,9 +372,7 @@ def mass_m_direct(u, d):
     5.07e4 (after about 150 s), because the adaptive inner integral misses
     the kernel peak of width ~|u|^2 near t = s.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.all(u == 0.0):
-        raise DomainError("mass requires u != 0")
+    u = _target("u", u, d)
 
     def inner(s):
         def f(t):
@@ -441,7 +434,7 @@ def eta_log_integral(u, d, f_moment, q: QuadratureSpec = None):
     """
     if q is None:
         q = QuadratureSpec()
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = _check_dim("u", u, d)
     sq = float(u @ u)
     if sq == 0.0 and d >= 2:
         raise DomainError("eta mass requires |u|^2 > 0 for d >= 2: u = 0 "

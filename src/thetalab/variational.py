@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
 
-from .errors import ContractError, InfeasibleError
+from .errors import ContractError, InfeasibleError, _check_dim
 from .sampler import (TimeGrid, cameron_martin_weight, make_rng,
                       sample_bm_increments)
 
@@ -60,7 +60,8 @@ class PiecewiseLinearPath:
 
 @dataclass(frozen=True)
 class BoxConstraint:
-    """phi(time) in [lo, hi] componentwise; None bounds are unbounded."""
+    """phi(time) in [lo, hi] componentwise; a None side or entry is
+    unbounded."""
 
     time: float
     lo: object = None
@@ -82,16 +83,31 @@ class ConstraintProgram:
     def __post_init__(self):
         incs = tuple((None if lo is None else float(lo),
                       None if hi is None else float(hi),
-                      np.atleast_1d(np.asarray(u, dtype=float)))
+                      np.asarray(u, dtype=float).ravel())
                      for lo, hi, u in self.increments)
-        if len({u.size for _, _, u in incs}) > 1:
-            raise ContractError("increment targets must share one dimension")
         object.__setattr__(self, "increments", incs)
         object.__setattr__(self, "boxes", tuple(self.boxes))
+        if not self._vectors():
+            raise ContractError("increments: program needs increments or "
+                                "boxes")
+        self.check(self.d)
+
+    def _vectors(self):
+        """(name, vector) of each target and box side; the first gives d."""
+        return [(f"increments[{i}]", u)
+                for i, (_, _, u) in enumerate(self.increments)] \
+            + [(f"boxes[{i}].{name}", side) for i, b in enumerate(self.boxes)
+               for name, side in (("lo", b.lo), ("hi", b.hi))
+               if side is not None]
+
+    def check(self, d):
+        """ContractError naming a target or box side not in R^d."""
+        for name, v in self._vectors():
+            _check_dim(name, v, d, ContractError)
 
     @property
-    def u_list(self):
-        return [u for _, _, u in self.increments]
+    def d(self):
+        return np.size(self._vectors()[0][1])
 
 
 def path_energy(path: PiecewiseLinearPath):
@@ -203,10 +219,9 @@ def _energy_given_times(chain_times, u_list, boxes, d, extra_knots=()):
     hi = np.full((knots.size, d), np.inf)
     for b in boxes:
         i = idx_of(b.time)
-        if b.lo is not None:
-            lo[i] = np.maximum(lo[i], np.asarray(b.lo, dtype=float))
-        if b.hi is not None:
-            hi[i] = np.minimum(hi[i], np.asarray(b.hi, dtype=float))
+        # NaN, as a None side or entry becomes, leaves the bound alone
+        lo[i] = np.fmax(lo[i], np.asarray(b.lo, dtype=float))
+        hi[i] = np.fmin(hi[i], np.asarray(b.hi, dtype=float))
     # phi(0) = 0 is pinned: a box there holds or excludes the origin
     if np.any(lo > hi) or np.any(lo[0] > 0.0) or np.any(hi[0] < 0.0):
         raise InfeasibleError("empty box constraint, or a box at time 0 "
@@ -393,15 +408,13 @@ def minimize_energy(prog: ConstraintProgram, n_extra_knots=0,
     ``converged`` (best order's).
     """
     slots = _chain_time_slots(prog)
-    u_list = prog.u_list
+    u_list = [u for _, _, u in prog.increments]
     extra = tuple(np.linspace(0.0, 1.0, n_extra_knots + 2)[1:-1])
-    sides = [np.atleast_1d(side) for b in prog.boxes for side in (b.lo, b.hi)
-             if side is not None]
-    if not u_list and not sides:
-        raise ContractError("cannot infer dimension from an empty program")
+    if prog.d == 0:
+        raise ContractError("increments: targets and box sides are empty")
     if not prog.boxes:
         return _minimize_increments(slots, u_list, extra)
-    d = u_list[0].size if u_list else sides[0].size
+    d = prog.d
     chain, diag = slots, {"outer_iterations": 0, "converged": True}
     if None in slots:
         solves = [_solve_order(cells, slots, u_list, prog.boxes, d, extra)
@@ -466,15 +479,14 @@ def _set_box(set_spec, d):
     kind = set_spec["type"]
     lo, hi = np.full(d, -math.inf), np.full(d, math.inf)
     if kind == "halfspace":
-        if not 0 <= set_spec["coord"] < d:
-            raise ContractError(f"coord {set_spec['coord']} is not in "
-                                f"[0, {d})")
-        lo[set_spec["coord"]] = set_spec["a"]
+        c = set_spec["coord"]
+        if not 0 <= c < d:
+            raise ContractError(f"coord: {c} is not below d={d}" if c >= 0
+                                else f"coord: {c} is negative")
+        lo[c] = set_spec["a"]
     elif kind == "box_at_one":
-        lo, hi = (np.asarray(set_spec[side], dtype=float)
+        lo, hi = (_check_dim(side, set_spec[side], d, ContractError)
                   for side in ("lo", "hi"))
-        if lo.shape != (d,) or hi.shape != (d,):
-            raise ContractError(f"box bounds must have length d={d}")
     elif kind != "full":
         raise ContractError(f"unknown set type {kind!r}")
     if np.any(lo > hi):

@@ -381,14 +381,49 @@ ETA = {"command": "eta", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],
                            "params": {"times": [0.5], "lo": [-1.0] * 3,
                                       "hi": [1.0] * 4}}),
      "payoff: params.hi"),
+    ({"command": "ldp-slope", "d": 4, "t_grid": [1.0, 2.0, 3.0],
+      "u_list": [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]},
+     "u_list[1]: length 3 does not match d=4"),
+    (dict(PAIRING, payoff={"id": "indicator_box",
+                           "params": {"times": [0.5], "lo": [-1.0] * 3,
+                                      "hi": [1.0] * 3}}),
+     "payoff.params.lo: length 3 does not match d=4"),
+    ({"command": "chaos-norm", "d": 4, "u": [1.0, 0.0, 0.0, 0.0],
+      "s": 0.5, "t": 0.3, "gamma": -2.5, "K": 10}, "t: need s < t"),
+    (dict(ETA, variant="correlated", r=1.0, f={"family": "one"}),
+     "r: must lie strictly inside (0, 1)"),
+    ({"command": "rate-min", "d": 2},
+     "increments: program needs increments or boxes"),
+    ({"command": "rate-min", "d": 2, "increments": [[0.2, 0.6, [1, 0, 0]]]},
+     "increments[0]: length 3 does not match d=2"),
+    ({"command": "rate-min", "d": 2, "increments": [[0.2, 0.6, [1, 0]]],
+      "boxes": [{"time": 0.4, "lo": [0, 0, 0]}]},
+     "boxes[0].lo: length 3 does not match d=2"),
+    ({"command": "schilder", "d": 2, "seed": 1, "t_grid": [1.0, 2.0, 3.0],
+      "set": {"type": "box_at_one", "lo": [0.0] * 3, "hi": [1.0] * 2}},
+     "set.lo: length 3 does not match d=2"),
 ], ids=["bump-without-center", "params-not-object", "weight-param-list",
         "center-length", "pairing-n-outer-1", "s-pair-three-entries",
-        "box-lo-hi-length"])
+        "box-lo-hi-length", "u-list-entry-length", "box-lo-length",
+        "chaos-s-after-t", "eta-r-one", "rate-min-empty",
+        "rate-min-increment-length", "rate-min-box-length",
+        "schilder-set-length"])
 def test_main_rejects_malformed_inputs(tmp_path, capsys, doc, field):
     path = write(tmp_path, "bad.json", doc)
     assert main([doc["command"], "--config", path]) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert f"config error: {field}" in captured.err
+    assert captured.out == ""
+
+
+def test_main_reports_invalid_json(tmp_path, capsys):
+    # json.loads once ran outside the ConfigError handler: a traceback
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    assert main(["mass", "--config", str(path), "--seed", "3"]) \
+        == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: (document): invalid JSON")
     assert captured.out == ""
 
 

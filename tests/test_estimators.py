@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from oracles import GaussianConditioner, log_gap_tensor
+from thetalab import estimators
 from thetalab.errors import ContractError, DomainError
 from thetalab.estimators import (EstimateWithError, WeightFunction,
                                  coordinate_indicator_box, constant_one,
@@ -61,6 +62,58 @@ def test_payoff_catalogue():
         coordinate_indicator_box([0.5], [1.0], [0.0])
     with pytest.raises(ContractError):
         constant_one(1.5)
+
+
+def test_catalogue_payoff_lengths_fail_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("row_increments called before the checks")
+
+    monkeypatch.setattr(estimators, "row_increments", no_draw)
+    with pytest.raises(ContractError, match="^hi: length 4 does not match"):
+        coordinate_indicator_box((0.5,), [-1] * 3, [1] * 4)
+    box = coordinate_indicator_box((0.5,), [-1] * 3, [1] * 3)
+    bump = gaussian_bump((0.3, 0.7), np.zeros(4))
+    routes = [
+        lambda F: pairing_bridge(F, [U4], 4, 10, 1, seed=0),
+        lambda F: pairing_epsilon(F, [U4], 4, (0.04, 0.02), 10, seed=0),
+        lambda F: eta_pairing_independent(F, None, WeightFunction("one"),
+                                          U4, 4, 10, 1, seed=0),
+    ]
+    for route in routes:
+        with pytest.raises(ContractError, match="^lo: length 3 .* d=4$"):
+            route(box)
+        with pytest.raises(ContractError,
+                           match="^center: length 4 .* d=4 x 2 eval times"):
+            route(bump)
+    with pytest.raises(ContractError, match="^lo: length 3"):
+        cylinder_mass((0.5,), [-1] * 3, [1] * 3, [U4], 4, 10, 1, seed=0)
+    # a custom payoff declares no vectors and stays unchecked
+    constant_one().check(7)
+
+
+def test_correlated_moment_is_the_shifted_gaussian_moment():
+    g = np.array([1e-3, 0.2, 0.9])
+    for family, param in (("one", 0.0), ("indicator_pos", 0.0),
+                          ("abs_power", 1.5), ("exp_abs", 0.7)):
+        f = WeightFunction(family, param)
+        for r, u1 in ((0.6, 1.0), (0.1, -2.5)):
+            want = f.gaussian_moment((1.0 - r * r) * g, mean=r * u1)
+            assert np.array_equal(f.correlated_moment(r, u1)(g), want)
+    for r in (0.0, 1.0, -0.3, 1.2):
+        with pytest.raises(DomainError,
+                           match=r"^r: must lie strictly inside \(0, 1\)$"):
+            WeightFunction("one").correlated_moment(r, 1.0)
+
+
+def test_target_lengths_name_the_argument():
+    with pytest.raises(DomainError, match=r"^u_list\[1\]: length 3 does not "
+                       "match d=4$"):
+        pairing_bridge(constant_one(), [U4, U4[:3]], 4, 10, 1, seed=0)
+    with pytest.raises(DomainError, match="^u: length 3 does not match d=4$"):
+        eta_pairing_independent(None, None, WeightFunction("one"), U4[:3],
+                                4, 10, 1, seed=0)
+    with pytest.raises(DomainError, match=r"^u_list\[0\]: length 2"):
+        SimplexIntegrand(4, ([1.0, 0.0],))
 
 
 def test_weight_function_families():

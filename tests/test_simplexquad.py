@@ -542,6 +542,14 @@ def test_eta_mass_past_the_double_range_raises():
             eta_mass_scan(f, 4, [1.0, 0.0])
 
 
+def test_eta_integrals_reject_a_target_of_the_wrong_length():
+    # a 3-vector at d = 4 once returned log -4.1015 silently
+    for route in (eta_log_integral, eta_mass_integral):
+        with pytest.raises(DomainError,
+                           match="^u: length 3 does not match d=4$"):
+            route([1.0, 0.0, 0.0], 4, lambda g: np.ones_like(g))
+
+
 def test_eta_mass_target_floor():
     # below |u|^2/d = e^{_Y_FLOOR + _Y_MARGIN} the peak search has no room
     # at d >= 2; at d = 1 the integrand stays integrable at u = 0, and the

@@ -387,6 +387,40 @@ def test_chain_endpoint_mismatch():
                                       (None, None, [1.0, 0.0])))
 
 
+def test_program_owns_its_dimension():
+    u2 = [1.0, 0.0]
+    with pytest.raises(ContractError,
+                       match=r"^boxes\[0\]\.lo: length 3 does not match d=2$"):
+        ConstraintProgram(increments=[(None, None, u2)],
+                          boxes=(BoxConstraint(1.0, [0, 0, 0], None),))
+    with pytest.raises(ContractError, match=r"^boxes\[1\]\.hi: length 1"):
+        ConstraintProgram(boxes=(BoxConstraint(0.5, hi=u2),
+                                 BoxConstraint(1.0, hi=[1.0])))
+    with pytest.raises(ContractError, match="^increments: program needs"):
+        ConstraintProgram()
+    with pytest.raises(ContractError, match="^increments: program needs"):
+        ConstraintProgram(boxes=(BoxConstraint(0.5),))
+    prog = ConstraintProgram(boxes=(BoxConstraint(0.5, hi=[1.0, 2.0, 3.0]),))
+    assert prog.d == 3
+    prog.check(3)
+    with pytest.raises(ContractError,
+                       match=r"^boxes\[0\]\.hi: length 3 does not match d=2$"):
+        prog.check(2)
+
+
+def test_none_box_entries_are_unbounded():
+    def solve(lo, hi):
+        return minimize_energy(ConstraintProgram(
+            increments=((None, None, [1.0, 0.0]),),
+            boxes=(BoxConstraint(1.0, lo=lo, hi=hi),)))
+
+    inf = math.inf
+    path, val, _ = solve([None, 0.5], [None, None])
+    want_path, want, _ = solve([-inf, 0.5], [inf, inf])
+    assert val == want
+    assert np.array_equal(path.values, want_path.values)
+
+
 def test_ldp_slope_fit_exact_models():
     t = np.array([4.0, 8.0, 12.0, 16.0, 20.0])
     for L, b, c in ((0.5, -1.0, 2.0), (2.0, 3.0, 0.0)):
