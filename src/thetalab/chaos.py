@@ -12,7 +12,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import exprel, gammaln
 
-from .errors import CapacityError, DomainError, _check_dim, _target
+from .errors import (CapacityError, ContractError, DomainError, _check_dim,
+                     _target)
 from .kernels import N_MAX, log_heat_kernel, log_hermite_sq_over_fact_seq
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
@@ -28,9 +29,9 @@ class ChaosSpectrum:
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=float)
         if lv.ndim != 1 or lv.size == 0:
-            raise ValueError("levels must be a nonempty 1-d sequence")
+            raise ContractError("levels: must be a nonempty 1-d sequence")
         if np.any(lv < 0.0) or not np.all(np.isfinite(lv)):
-            raise ValueError("levels must be finite and nonnegative")
+            raise ContractError("levels: must be finite and nonnegative")
         object.__setattr__(self, "levels", lv)
 
     @property

@@ -4,8 +4,9 @@ Two independent estimator families are provided for the dual pairing of a
 cylinder test functional with the measure theta_{u_1..u_{k-1}}:
 
 * ``pairing_bridge`` integrates the conditional expectation given the
-  prescribed increments (sampled exactly by bridge construction) against
-  the product of heat kernels over the ordered simplex;
+  prescribed increments (in closed form for the catalogue payoffs, else
+  sampled exactly by bridge construction) against the product of heat
+  kernels over the ordered simplex;
 * ``pairing_epsilon`` integrates the Gaussian mollifier p_eps in closed
   form along a ladder of epsilon values, on one draw shared by every rung,
   and extrapolates each sample's rung values to epsilon -> 0.
@@ -25,8 +26,8 @@ from scipy.special import hyp1f1, log_ndtr, ndtr
 
 from .errors import ContractError, DomainError, _check_dim, _target
 from .kernels import log_heat_kernel_sq
-from .sampler import (bridge_adjust, make_rng, path_at, row_increments,
-                      union_times, window_regression)
+from .sampler import (bridge_adjust, conditional_law, make_rng, path_at,
+                      row_increments, union_times, window_regression)
 
 _CHUNK = 64  # outer nodes per vectorized block, keeps arrays < ~100 MB
 
@@ -50,13 +51,21 @@ class EstimateWithError:
 
 @dataclass(frozen=True)
 class CylinderFunctional:
-    """Bounded payoff of finitely many path evaluations."""
+    """Bounded payoff of finitely many path evaluations.
+
+    ``gaussian_mean(mean, cov)``, when set, is E F(X) in closed form for X
+    Gaussian with mean (..., n_eval, d) and, in every coordinate, the
+    covariance (..., n_eval, n_eval) across eval times, the leading axes
+    broadcasting; the pairing routes then integrate F instead of sampling
+    paths.  The catalogue factories set it; a custom payoff has none.
+    """
 
     eval_times: tuple
     payoff: object  # callable, (..., n_eval, dim) -> (...)
     name: str = "custom"
     # (name, array, rows) of the parameter vectors, rows x d entries each
     vectors: tuple = field(default=(), compare=False)
+    gaussian_mean: object = field(default=None, compare=False)
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.eval_times)
@@ -73,17 +82,96 @@ class CylinderFunctional:
             _check_dim(name, v, d, ContractError, rows)
 
 
+@dataclass(frozen=True)
+class IncrementFunctional:
+    """Payoff F1 of one increment, (..., d) -> (...), for the eta routes,
+    with its Gaussian mean in closed form.
+
+    ``increment_mean(mean, var)`` is E F1(mean + sqrt(var) Z), Z standard
+    normal in R^d and one ``var`` per row of ``mean``.
+    """
+
+    payoff: object
+    increment_mean: object
+
+    def __call__(self, values):
+        return self.payoff(values)
+
+
+def _width(width):
+    """width^2, once the width is finite and > 0 and its square is too."""
+    width = float(width)
+    if not (math.isfinite(width) and width > 0.0):
+        raise ContractError("width: must be finite and > 0")
+    if width * width == 0.0:
+        raise ContractError(f"width: {width:g} squared underflows to 0")
+    return width * width
+
+
+def _bump_mean(diff, cov, w2):
+    """E exp(-||X||^2 / (2 w2)) for X = diff + N(0, cov) in each coordinate.
+
+    ``diff`` is (..., m, d) and ``cov`` (..., m, m).  Per coordinate it is
+    det(I + cov/w2)^{-1/2} exp(-diff^T (cov + w2 I)^{-1} diff / 2), taken
+    on the eigenvalues lam >= 0 of cov: every term has one sign, so a
+    singular cov (repeated eval times) or a tiny w2 only sends the value
+    to its limit.
+    """
+    d, m = diff.shape[-1], diff.shape[-2]
+    if m == 1:  # scalar arithmetic: batched linalg on small blocks is slow
+        lam, proj = cov[..., 0, :], diff
+    else:
+        lam, vec = np.linalg.eigh(cov)
+        proj = np.einsum("...nm,...nd->...md", vec, diff)
+    lam = np.clip(lam, 0.0, None)  # rounding dips below 0
+    with np.errstate(over="ignore"):
+        terms = d * np.log1p(lam / w2) \
+            + np.sum(proj * proj, axis=-1) / (lam + w2)
+    return np.exp(-0.5 * np.sum(terms, axis=-1))
+
+
 def gaussian_bump(times, center, width=1.0):
     """exp(-||x - center||^2 / (2 width^2)) over the stacked evaluations."""
     center = np.asarray(center, dtype=float).ravel()
+    w2 = _width(width)
+    m = len(times)
 
     def payoff(values):
         flat = values.reshape(values.shape[:-2] + (-1,))
         diff = flat - center
-        return np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * width ** 2))
+        return np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * w2))
+
+    def gaussian_mean(mean, cov):
+        return _bump_mean(mean - center.reshape(m, -1), cov, w2)
 
     return CylinderFunctional(tuple(times), payoff, "gaussian_bump",
-                              (("center", center, len(times)),))
+                              (("center", center, m),), gaussian_mean)
+
+
+def gaussian_window(width=1.0):
+    """F1(v) = exp(-||v||^2 / (2 width^2)) of an increment v in R^d.
+
+    Its Gaussian mean is (1 + var/width^2)^{-d/2}
+    exp(-||mean||^2 / (2 (width^2 + var))).
+    """
+    w2 = _width(width)
+
+    def payoff(v):
+        return np.exp(-np.sum(v * v, axis=-1) / (2.0 * w2))
+
+    def increment_mean(mean, var):
+        var = np.asarray(var, dtype=float)
+        return _bump_mean(mean[..., None, :], var[..., None, None], w2)
+
+    return IncrementFunctional(payoff, increment_mean)
+
+
+def _log_ndtr_diff(a, b):
+    """log(Phi(b) - Phi(a)) for a <= b, without cancellation in the tails."""
+    flip = a > 0.0  # Phi(b) - Phi(a) = Phi(-a) - Phi(-b)
+    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+    top = log_ndtr(b)
+    return top + np.log1p(-np.exp(log_ndtr(a) - top))
 
 
 def coordinate_indicator_box(times, lo, hi):
@@ -100,8 +188,17 @@ def coordinate_indicator_box(times, lo, hi):
         inside = np.all((values >= lo) & (values <= hi), axis=(-2, -1))
         return inside.astype(float)
 
+    def gaussian_mean(mean, cov):  # one eval time: a product of Phi gaps
+        mu, sd = mean[..., 0, :], np.sqrt(cov[..., 0, :1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.exp(_log_ndtr_diff((lo - mu) / sd, (hi - mu) / sd)
+                       .sum(axis=-1))
+        # a zero variance leaves the point mass at the mean
+        return np.where(sd[..., 0] > 0.0, p, payoff(mean))
+
     return CylinderFunctional(tuple(times), payoff, "indicator_box",
-                              (("lo", lo, 1), ("hi", hi, 1)))
+                              (("lo", lo, 1), ("hi", hi, 1)),
+                              gaussian_mean if len(times) == 1 else None)
 
 
 def polynomial_clipped(times, coeffs, clip=10.0):
@@ -119,7 +216,11 @@ def constant_one(time=1.0):
     def payoff(values):
         return np.ones(values.shape[:-2])
 
-    return CylinderFunctional((time,), payoff, "one")
+    def gaussian_mean(mean, cov):
+        return np.ones(np.broadcast_shapes(mean.shape[:-2], cov.shape[:-2]))
+
+    return CylinderFunctional((time,), payoff, "one",
+                              gaussian_mean=gaussian_mean)
 
 
 def _one(times=(1.0,)):
@@ -270,12 +371,25 @@ def _estimate(y, divisor, n_samples, method):
         n_samples, method)
 
 
+def _n_samples(integrated, n_outer, n_inner):
+    """Paths a route draws: ``n_inner`` per outer point unless the inner
+    mean is integrated (or there is none)."""
+    return n_outer if integrated else n_outer * n_inner
+
+
 def _conditional_means(F, t_tuples, u_list, d, n_inner, rng):
     """Inner means E[F | w(t_{j+1}) - w(t_j) = u_j] for each time tuple.
 
-    ``n_inner`` paths per tuple, bridge-conditioned on the targets, in
-    blocks of _CHUNK tuples; returns one inner mean per tuple.
+    Given the targets the path at the eval times is Gaussian, with mean
+    sum_j share_j u_j and covariance K of :func:`conditional_law`; a payoff
+    with ``gaussian_mean`` integrates that law and draws nothing.  Any other
+    payoff averages ``n_inner`` paths per tuple, bridge-conditioned on the
+    targets, in blocks of _CHUNK tuples.  Returns one inner mean per tuple.
     """
+    if F.gaussian_mean is not None:
+        shares, cov = conditional_law(F.eval_times, t_tuples)
+        return F.gaussian_mean(shares @ np.stack(u_list), cov)
+
     def block(sl):
         times, pos_eval, pos_t = union_times(t_tuples[sl], F.eval_times)
         incs = row_increments(np.diff(times, axis=1), d, n_inner, rng)
@@ -286,10 +400,13 @@ def _conditional_means(F, t_tuples, u_list, d, n_inner, rng):
 
 
 def _log_kernel_product(t_tuples, u_list, d, eps_shift=0.0):
+    """sum_j log p_{g_j + eps_shift}(u_j) per row; an (r, 1) array of
+    shifts gives shape (r, rows)."""
     gaps = np.diff(t_tuples, axis=1)
-    logp = np.zeros(t_tuples.shape[0])
+    logp = 0.0
     for j, u in enumerate(u_list):
-        logp += log_heat_kernel_sq(float(u @ u), gaps[:, j] + eps_shift, d)
+        logp = logp + log_heat_kernel_sq(float(u @ u), gaps[:, j] + eps_shift,
+                                         d)
     return logp
 
 
@@ -310,7 +427,9 @@ def pairing_bridge(F: CylinderFunctional, u_list, d, n_outer, n_inner,
     t = draw(rng, n_outer)
     h = _conditional_means(F, t, us, d, n_inner, rng)
     y = h * np.exp(_log_kernel_product(t, us, d))
-    return _estimate(y, divisor, n_outer * n_inner, "bridge")
+    return _estimate(y, divisor,
+                     _n_samples(F.gaussian_mean is not None, n_outer, n_inner),
+                     "bridge")
 
 
 def extrapolation_weights(eps_values):
@@ -332,33 +451,39 @@ def _smoothed_rungs(F, us, d, eps_ladder, n, rng):
                                         E[F | dw_j = Y_j],
         Y_j = g_j/(g_j+eps) u_j + sqrt(g_j eps/(g_j+eps)) xi_j,
 
-    with xi_j standard normal.  Each sample draws its tuple, raw increments
-    and xi once for all rungs.  The bridge is linear in its targets, so a
-    rung only adds sum_j share_j Y_j to the zero-target bridge, the shares
-    being :func:`window_regression`'s at (0, e) for each eval time e.  The
-    values are divided by k!, so each rung's column mean is its pairing.
+    with xi_j standard normal.  Each sample draws its tuple and xi once for
+    all rungs.  Given the Y_j the path at the eval times is Gaussian with
+    mean sum_j share_j Y_j and covariance K of :func:`conditional_law`, the
+    same at every rung; a payoff with ``gaussian_mean`` integrates it, on
+    every rung at once.  Any other payoff also draws raw increments once:
+    its path at a rung is the zero-target bridge plus that mean.  The values
+    are divided by k!, so each rung's column mean is its pairing.
     """
     k = len(us) + 1
     draw, divisor = _outer_step(n, k)
     u = np.stack(us)
-    ends = np.asarray(F.eval_times)[:, None]  # (n_eval, 1) against rows
+    eps = np.asarray(eps_ladder)[:, None]  # (rungs, 1) against the windows
 
     def block(sl):
         t = draw(rng, sl.stop - sl.start)
-        times, pos_eval, pos_t = union_times(t, F.eval_times)
-        incs = row_increments(np.diff(times, axis=1), d, 1, rng)
+        if F.gaussian_mean is None:
+            times, pos_eval, pos_t = union_times(t, F.eval_times)
+            incs = row_increments(np.diff(times, axis=1), d, 1, rng)
         xi = rng.standard_normal((t.shape[0], k - 1, d))
-        bridge_adjust(times, incs, pos_t[:, :-1], pos_t[:, 1:],
-                      np.zeros((k - 1, d)))
-        ev0 = path_at(incs, pos_eval)[0][:, 0]
-        share, _ = window_regression(0.0, ends, t)
-        g = np.diff(t, axis=1)[:, :, None]
-        vals = np.empty((t.shape[0], len(eps_ladder)))
-        for r, eps in enumerate(eps_ladder):
-            y = g / (g + eps) * u + np.sqrt(g * eps / (g + eps)) * xi
-            ev = ev0 + np.einsum("erj,rjd->red", share, y)
-            vals[:, r] = F(ev) * np.exp(_log_kernel_product(t, us, d, eps))
-        return vals
+        g = np.diff(t, axis=1)[:, None, :]
+        a = g / (g + eps)  # Y_j = a_j u_j + sqrt(a_j eps) xi_j
+        shares, cov = conditional_law(F.eval_times, t)
+        sa = shares[:, None] * a[:, :, None]  # (rows, rungs, m, J)
+        sb = shares[:, None] * np.sqrt(a * eps)[:, :, None]
+        mean = np.tensordot(sa, u, 1) + (sb.reshape(t.shape[0], -1, k - 1)
+                                         @ xi).reshape(sa.shape[:-1] + (d,))
+        if F.gaussian_mean is not None:
+            h = F.gaussian_mean(mean, cov[:, None])
+        else:
+            bridge_adjust(times, incs, pos_t[:, :-1], pos_t[:, 1:],
+                          np.zeros((k - 1, d)))
+            h = F(path_at(incs, pos_eval)[0] + mean)
+        return h * np.exp(_log_kernel_product(t, us, d, eps).T)
 
     return _blockwise(n, _CHUNK * 64, block, (len(eps_ladder),)) / divisor
 
@@ -428,7 +553,9 @@ def eta_pairing_independent(F1, F2, f: WeightFunction, u, d, n_outer,
     h1 = 1.0 if F1 is None else _conditional_means(F1, t, us, d, n_inner, rng)
     h2 = f.gaussian_moment(t[:, 1] - t[:, 0])
     y = h1 * h2 * np.exp(_log_kernel_product(t, us, d))
-    return _estimate(y, divisor, n_outer * n_inner, "eta_independent")
+    integrated = F1 is None or F1.gaussian_mean is not None
+    return _estimate(y, divisor, _n_samples(integrated, n_outer, n_inner),
+                     "eta_independent")
 
 
 def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
@@ -438,8 +565,10 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
     F1 is a payoff of the fixed-window increment w(s2) - w(s1); its
     conditional law given w(t2) - w(t1) = u is alpha u + X, the share alpha
     and the variance of the independent centered Gaussian X taken from
-    ``window_regression``.  A fixed ``t_pair`` replaces the outer simplex
-    integral by the integrand at that window.
+    ``window_regression``.  An :class:`IncrementFunctional` F1 (such as
+    :func:`gaussian_window`) is integrated over that law; any other callable
+    is averaged over ``n_inner`` draws of X.  A fixed ``t_pair`` replaces
+    the outer simplex integral by the integrand at that window.
     """
     if F2 is not None:
         raise ContractError("payoffs of beta (F2) are not supported")
@@ -456,10 +585,17 @@ def eta_pairing_correlated(F1, F2, f: WeightFunction, u, d, r, s_pair,
         x = row_increments(var_x[sl, None], d, n_inner, rng)[:, :, 0]
         return F1(alpha[sl, :, None] * u + x).mean(axis=1)
 
-    h1 = 1.0 if F1 is None else _blockwise(n_outer, _CHUNK, block)
+    integrated = F1 is None or isinstance(F1, IncrementFunctional)
+    if F1 is None:
+        h1 = 1.0
+    elif integrated:
+        h1 = F1.increment_mean(alpha * u, var_x)
+    else:
+        h1 = _blockwise(n_outer, _CHUNK, block)
     y = h1 * moment(t[:, 1] - t[:, 0]) \
         * np.exp(_log_kernel_product(t, (u,), d))
-    return _estimate(y, divisor, n_outer * n_inner, "eta_correlated")
+    return _estimate(y, divisor, _n_samples(integrated, n_outer, n_inner),
+                     "eta_correlated")
 
 
 def eta_pairing_correlated_direct(F1, F2, f: WeightFunction, u, d, r,

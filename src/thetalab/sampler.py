@@ -7,7 +7,8 @@ from 0 (equal neighbours make zero-length cells), and increments of shape
 conditions per-row windows on prescribed increments exactly (Brownian
 bridge) and :func:`path_at` gathers cumulative sums at grid columns;
 :func:`window_regression` is the same conditioning in closed form, for
-one increment.  The fixed-grid API (:class:`TimeGrid`,
+one increment, and :func:`conditional_law` for the path at several eval
+times.  The fixed-grid API (:class:`TimeGrid`,
 :func:`sample_conditioned_bm`, ...) is the one-row case;
 :func:`cameron_martin_weight` applies a Cameron-Martin shift on a fixed
 grid with its log weight.  Streams are counter-based Philox keyed by
@@ -206,6 +207,26 @@ def window_regression(a, b, t):
     overlap = interval_overlap((a, b), (t[..., :-1], t[..., 1:]))
     var = (b[..., 0] - a[..., 0]) - np.sum(overlap ** 2 / g, axis=-1)
     return overlap / g, np.clip(var, 0.0, None)
+
+
+def conditional_law(eval_times, t):
+    """(shares, cov): the path at the eval times given the window increments.
+
+    For each row of ordered times ``t`` and the m ``eval_times``, w(e) =
+    sum_j share_j(e) dw_j + X(e) with the shares (rows, m, J) of
+    :func:`window_regression` at (0, e) and X centered Gaussian, independent
+    across coordinates, of per-coordinate covariance (rows, m, m)
+    K(e, e') = min(e, e') - sum_j g_j share_j(e) share_j(e'), whose
+    diagonal is the regression's variance.
+    """
+    e = np.asarray(eval_times, dtype=float)
+    shares, var = window_regression(0.0, e, t[:, None, :])
+    g = np.diff(t, axis=-1)
+    cov = np.minimum.outer(e, e) \
+        - (shares * g[:, None, :]) @ shares.transpose(0, 2, 1)
+    diag = np.arange(e.size)
+    cov[:, diag, diag] = var
+    return shares, cov
 
 
 def shift_on_grid(grid: TimeGrid, knots, knot_values):

@@ -8,7 +8,7 @@ from thetalab.chaos import (ChaosSpectrum, IncrementSpec, SobolevIndex,
                             delta_increment_norm_sq, delta_increment_spectrum,
                             norm_bound_delta, sobolev_norm_sq,
                             sobolev_partial_sums, wick_convolve)
-from thetalab.errors import CapacityError, DomainError
+from thetalab.errors import CapacityError, ContractError, DomainError
 from thetalab.kernels import (N_MAX, heat_kernel, log_heat_kernel,
                               log_hermite_sq_over_fact_seq)
 
@@ -27,11 +27,13 @@ def d_fold_spectrum(u, tau, K):
 
 
 def test_spectrum_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError, match="^levels: must be finite"):
         ChaosSpectrum(np.array([1.0, -0.1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError, match="^levels: must be finite"):
         ChaosSpectrum(np.array([np.inf]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError, match="^levels: must be finite"):
+        ChaosSpectrum(np.array([1.0, np.nan]))
+    with pytest.raises(ContractError, match="^levels: must be a nonempty"):
         ChaosSpectrum(np.array([]))
     sp = ChaosSpectrum(np.array([1.0, 2.0, 3.0]))
     assert sp.truncation_K == 2

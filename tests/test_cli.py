@@ -12,6 +12,7 @@ from thetalab.cli import (ConfigError, EXIT_DOMAIN, EXIT_INFEASIBLE,
                           EXIT_OK, EXIT_WARNING, ExperimentConfig,
                           config_hash, emit_config, execute, main,
                           parse_config)
+from thetalab.errors import ContractError
 from thetalab.simplexquad import ldp_mass_curve
 from thetalab.variational import closed_form_inf
 
@@ -459,6 +460,13 @@ def test_rate_min_artifact(tmp_path):
         == EXIT_OK
     assert [ln for ln in again.read_text().splitlines()
             if ln.startswith("# meta.value=")] == [value]
+
+
+def test_selfcheck_rejects_an_unknown_tier():
+    reports = []
+    with pytest.raises(ContractError, match="^tier: must be 'quick' or"):
+        selfcheck.run_selfcheck("x", report=reports.append)
+    assert reports == []  # refused before any check ran
 
 
 def test_selfcheck_sabotaged_kernel_fails_dual_route(monkeypatch):

@@ -7,19 +7,20 @@ from scipy.integrate import dblquad, quad
 from oracles import GaussianConditioner, log_gap_tensor
 from thetalab import estimators
 from thetalab.errors import ContractError, DomainError
-from thetalab.estimators import (EstimateWithError, WeightFunction,
-                                 coordinate_indicator_box, constant_one,
-                                 cylinder_mass, eta_mass_scan,
+from thetalab.estimators import (CylinderFunctional, EstimateWithError,
+                                 WeightFunction, coordinate_indicator_box,
+                                 constant_one, cylinder_mass, eta_mass_scan,
                                  eta_pairing_correlated,
                                  eta_pairing_correlated_direct,
                                  eta_pairing_independent,
                                  extrapolation_weights, gaussian_bump,
-                                 make_payoff, pairing_bridge,
+                                 gaussian_window, make_payoff, pairing_bridge,
                                  pairing_epsilon, polynomial_clipped,
                                  support_check)
 from thetalab.kernels import heat_kernel
 from thetalab.sampler import (IncrementConstraintSet, TimeGrid,
-                              sample_conditioned_bm, window_regression)
+                              conditional_law, sample_conditioned_bm,
+                              window_regression)
 from thetalab.simplexquad import (SimplexIntegrand, eta_mass_integral,
                                   gap_reduced_integral, mass_m)
 
@@ -248,7 +249,8 @@ def test_duality_k3_over_seeds():
 
 def test_duality_k3_at_interior_times():
     # at eval times inside the windows the epsilon route's shares are not
-    # 1; the bridge route, which conditions whole paths, is the reference
+    # 1; both routes integrate the bump over conditional_law's K, and
+    # test_closed_forms_match_sampled_inner_means sets that against sampling
     F = gaussian_bump((0.3, 0.7), np.zeros(8))
     for seed in range(6):
         b = pairing_bridge(F, [U4, U4], 4, 2000, 8, seed=3000 + seed)
@@ -264,7 +266,6 @@ def test_pairing_linearity():
     def combo(values):
         return 2.0 * bump.payoff(values) + 0.5 * one.payoff(values)
 
-    from thetalab.estimators import CylinderFunctional
     F = CylinderFunctional((1.0,), combo, "combo")
     pc = pairing_bridge(F, [U4], 4, 20000, 8, seed=27)
     pb = pairing_bridge(bump, [U4], 4, 20000, 8, seed=27)
@@ -404,6 +405,190 @@ def test_window_regression_matches_gaussian_conditioner():
             cond.alpha_coefficients(s1, s2)[0], abs=1e-12)
         assert np.allclose(alpha[0] * u, mean, rtol=0.0, atol=1e-12)
         assert var_x[0] == pytest.approx(var, abs=1e-12)
+
+
+def test_conditional_law_matches_gaussian_conditioner():
+    # K(e, e') against the Schur-complement oracle: the diagonal is the
+    # conditional variance of w(e) - w(0), and the off-diagonal follows
+    # from that of the increment w(e') - w(e) by polarization
+    rng = np.random.default_rng(43)
+    for k, m in ((2, 1), (2, 3), (3, 2), (4, 3)):
+        t = np.sort(rng.random((40, k)), axis=1)
+        ev = np.sort(rng.random(m))
+        shares, cov = conditional_law(ev, t)
+        assert shares.shape == (40, m, k - 1) and cov.shape == (40, m, m)
+        for row, sh, K in zip(t, shares, cov):
+            cond = GaussianConditioner(np.stack([row[:-1], row[1:]], 1),
+                                       np.zeros((k - 1, 1)))
+            var = [cond.condition_increment(0.0, e)[1] for e in ev]
+            for i, e in enumerate(ev):
+                assert np.allclose(sh[i], cond.alpha_coefficients(0.0, e),
+                                   rtol=0.0, atol=1e-12)
+                for j in range(i):
+                    gap = cond.condition_increment(ev[j], e)[1]
+                    want = (var[i] + var[j] - gap) / 2.0
+                    assert K[i, j] == pytest.approx(want, abs=1e-12)
+                    assert K[j, i] == pytest.approx(want, abs=1e-12)
+            assert np.allclose(np.diag(K), var, rtol=0.0, atol=1e-12)
+
+
+def _sampled(F):
+    """The same payoff as a custom CylinderFunctional, which samples."""
+    return CylinderFunctional(F.eval_times, F.payoff)
+
+
+@pytest.mark.parametrize("F, k", [
+    (gaussian_bump((1.0,), [0.3, -0.2, 0.0, 0.1], width=0.8), 2),
+    (gaussian_bump((0.5,), [0.5, 0.0, 0.0, 0.0]), 3),
+    (gaussian_bump((0.3, 0.7), [0.2, 0.1, 0, 0, 0.5, -0.1, 0, 0]), 3),
+    (gaussian_bump((0.6, 0.6), np.zeros(8), width=0.5), 2),
+    (gaussian_bump((0.2, 0.5, 0.9), np.tile([0.3, 0, 0, 0], 3)), 3),
+    (coordinate_indicator_box((0.5,), [-1.0] * 4, [1.0] * 4), 2),
+    (coordinate_indicator_box((0.7,), [0.2, -1.0, -0.5, -2.0],
+                              [1.5, 0.5, 0.5, 2.0]), 3),
+    (constant_one(), 3),
+], ids=["bump-t1", "bump-inside", "bump-interior", "bump-repeated",
+        "bump-m3", "box", "box-skew", "one"])
+def test_closed_forms_match_sampled_inner_means(F, k):
+    # both routes integrate the payoff's conditional mean; wrapping the
+    # payoff as a custom functional makes the same route sample it
+    assert F.gaussian_mean is not None and _sampled(F).gaussian_mean is None
+    us = [U4] * (k - 1)
+    for seed in range(10):
+        a = pairing_bridge(F, us, 4, 4000, 1, seed=5000 + seed)
+        b = pairing_bridge(_sampled(F), us, 4, 4000, 8, seed=6000 + seed)
+        assert a.agrees_with(b), (seed, a, b)
+        a, _ = pairing_epsilon(F, us, 4, (0.04, 0.02), 4000, seed=7000 + seed)
+        b, _ = pairing_epsilon(_sampled(F), us, 4, (0.04, 0.02), 4000,
+                               seed=8000 + seed)
+        assert a.agrees_with(b), (seed, a, b)
+
+
+def test_catalogue_closed_forms():
+    # which payoffs integrate, and the closed forms at a degenerate law
+    assert coordinate_indicator_box((0.3, 0.6), [-1] * 4, [1] * 4) \
+        .gaussian_mean is None
+    assert polynomial_clipped((1.0,), [1, 0]).gaussian_mean is None
+    mean = np.array([[[0.5, -1.0, 0.0, 1.0]]])
+    zero = np.zeros((1, 1, 1))
+    box = coordinate_indicator_box((0.0,), [0.5, -1.0, -1.0, 0.0],
+                                   [1.0, 0.0, 1.0, 1.0])
+    assert box.gaussian_mean(mean, zero).tolist() == [1.0]  # mean on faces
+    assert box.gaussian_mean(mean + 2.0, zero).tolist() == [0.0]
+    bump = gaussian_bump((1.0,), [0.5, -1.0, 0.0, 2.0], width=2.0)
+    assert bump.gaussian_mean(mean, zero) == pytest.approx(
+        bump(mean), rel=1e-14)
+    # a tiny box is its Phi gap, without cancellation in the upper tail
+    tiny = coordinate_indicator_box((1.0,), [6.0] * 4, [6.0 + 1e-9] * 4)
+    got = tiny.gaussian_mean(np.zeros((1, 1, 4)), np.ones((1, 1, 1)))[0]
+    want = (1e-9 * math.exp(-18.0) / math.sqrt(2.0 * math.pi)) ** 4
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_bump_closed_form_matches_dense_gaussian_integral():
+    # det(I + K/w^2)^{-d/2} exp(-sum_c delta_c^T (K + w^2 I)^{-1} delta_c/2)
+    # from dense det and solve, at every m the closed form special-cases,
+    # singular covariances included
+    rng = np.random.default_rng(47)
+    w2 = 0.6
+    for m in (1, 2, 3):
+        a = rng.standard_normal((50, m, m))
+        cov = a @ a.transpose(0, 2, 1)
+        cov[:5] = 0.4  # rank one: repeated eval times
+        cov[5:10] = 0.0  # the path is known at the eval times
+        mean = rng.standard_normal((50, m, 4))
+        center = rng.standard_normal(m * 4)
+        bump = gaussian_bump((1.0,) * m, center,
+                             width=math.sqrt(w2))
+        delta = mean - center.reshape(m, 4)
+        gram = cov + w2 * np.eye(m)
+        quad_form = np.sum(delta * np.linalg.solve(gram, delta), axis=(1, 2))
+        want = np.linalg.det(np.eye(m) + cov / w2) ** -2.0 \
+            * np.exp(-0.5 * quad_form)
+        assert np.allclose(bump.gaussian_mean(mean, cov), want, rtol=1e-12,
+                           atol=0.0), m
+
+
+def test_closed_forms_draw_no_inner_paths():
+    # n_samples counts drawn paths: n_outer when the inner mean is
+    # integrated, n_outer * n_inner when it is sampled
+    f = WeightFunction("one")
+    bump = gaussian_bump((0.3, 0.7), np.zeros(8))
+    window = gaussian_window()
+    counts = {
+        "bridge": (pairing_bridge(bump, [U4], 4, 10, 4, seed=0), 10),
+        "sampled": (pairing_bridge(_sampled(bump), [U4], 4, 10, 4, seed=0),
+                    40),
+        "cylinder": (cylinder_mass((0.5,), [-1] * 4, [1] * 4, [U4], 4, 10, 4,
+                                   seed=0), 10),
+        "cylinder-2": (cylinder_mass((0.5, 1.0), [-1] * 4, [1] * 4, [U4], 4,
+                                     10, 4, seed=0), 40),
+        "eta-independent": (eta_pairing_independent(
+            bump, None, f, U4, 4, 10, 4, seed=0), 10),
+        "eta-independent-none": (eta_pairing_independent(
+            None, None, f, U4, 4, 10, 4, seed=0), 10),
+        "eta-correlated": (eta_pairing_correlated(
+            window, None, f, U4, 4, 0.5, (0.2, 0.6), 10, 4, seed=0), 10),
+        "eta-correlated-raw": (eta_pairing_correlated(
+            window.payoff, None, f, U4, 4, 0.5, (0.2, 0.6), 10, 4, seed=0),
+            40),
+    }
+    for name, (est, want) in counts.items():
+        assert est.n_samples == want, name
+    with pytest.raises(ContractError, match="n_inner=0"):
+        pairing_bridge(bump, [U4], 4, 10, 0, seed=0)
+
+
+def test_widths_must_be_finite_and_positive(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("row_increments called before the checks")
+
+    monkeypatch.setattr(estimators, "row_increments", no_draw)
+    for width in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ContractError,
+                           match=r"^width: must be finite and > 0$"):
+            gaussian_bump((1.0,), np.zeros(4), width=width)
+        with pytest.raises(ContractError,
+                           match=r"^width: must be finite and > 0$"):
+            gaussian_window(width)
+        with pytest.raises(ContractError, match="^width:"):
+            make_payoff("gaussian_bump", {"times": [1.0], "center": [0] * 4,
+                                          "width": width})
+
+
+def test_gaussian_window_closed_form():
+    # the pairing-mc eta-correlated inputs: with F1 integrated and a fixed
+    # window nothing random is left, and the value is the closed form
+    # (1+v)^-2 e^{-alpha^2/(2(1+v))} Phi(0.6/sqrt(0.64*0.4)) p_0.4(e1),
+    # alpha = 0.5 and v = 0.3
+    f = WeightFunction("indicator_pos")
+    args = (f, U4, 4, 0.6, (0.2, 0.6))
+    est = eta_pairing_correlated(gaussian_window(), None, *args, 10, 1,
+                                 seed=0, t_pair=(0.4, 0.8))
+    assert est.value == pytest.approx(0.0215057093, abs=1e-10)
+    assert est.stderr == pytest.approx(0.0, abs=1e-15)
+    window = gaussian_window(0.7)
+    for seed in range(10):
+        a = eta_pairing_correlated(window, None, *args, 4000, 1,
+                                   seed=7000 + seed)
+        b = eta_pairing_correlated(window.payoff, None, *args, 4000, 8,
+                                   seed=8000 + seed)
+        assert a.agrees_with(b), (seed, a, b)
+
+
+def test_eta_correlated_samples_any_other_callable():
+    # only an IncrementFunctional is integrated: a CylinderFunctional F1,
+    # even one with a gaussian_mean (whose (mean, cov) on eval times is
+    # not an increment's law), is called on the sampled increments
+    f = WeightFunction("indicator_pos")
+    window = gaussian_window()
+    F1 = CylinderFunctional((1.0,), window.payoff, gaussian_mean=gaussian_bump(
+        (1.0,), np.zeros(4)).gaussian_mean)
+    args = (None, f, U4, 4, 0.6, (0.2, 0.6), 200, 4)
+    a = eta_pairing_correlated(F1, *args, seed=3)
+    b = eta_pairing_correlated(window.payoff, *args, seed=3)
+    assert (a.value, a.stderr, a.n_samples) == (b.value, b.stderr,
+                                                b.n_samples)
 
 
 def test_eta_correlated_vs_direct_small():
